@@ -17,17 +17,14 @@ from fractions import Fraction
 from multiprocessing import get_context
 
 from .commutator import (
-    AdditivityReport,
     DistributionPair,
     cancellation_sum,
     closed_form_cumulant,
-    commutator_polynomial,
     cumulant_sequence_of,
     expansion_cumulant,
     freeness_witness,
     sum_with_commutator,
     verify_additivity,
-    I_S_X,
 )
 from .cumulants import (
     DEFAULT_ORDER_CAP,
@@ -35,11 +32,9 @@ from .cumulants import (
     CumulantSequence,
     MomentSequence,
     as_fraction,
-    cumulant_of_polynomials,
     cumulants_from_moments,
     format_rational,
     moments_from_cumulants,
-    real_cumulant,
     resolve_order_cap,
 )
 from .errors import FreeCommutantError, SpecSyntaxError
@@ -160,6 +155,17 @@ def _perturb(value: Fraction) -> Fraction:
     return value + 1 if _fault_active() else value
 
 
+def _jobs_count(text: str) -> int:
+    """Type of ``--jobs``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freecommutant",
@@ -177,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if order is not None:
             p.add_argument("--max-order", type=int, default=order)
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=_jobs_count, default=1)
         p.add_argument("--seed", type=int, default=0)
 
     common(sub.add_parser("verify-additivity",
@@ -197,14 +203,14 @@ def _build_parser() -> argparse.ArgumentParser:
     fid.add_argument("--sequence", help="literal cumulants[...] to check directly")
     fid.add_argument("--size", type=int, default=3)
     fid.add_argument("--format", choices=("json", "table"), default="json")
-    fid.add_argument("--jobs", type=int, default=1)
+    fid.add_argument("--jobs", type=_jobs_count, default=1)
     fid.add_argument("--seed", type=int, default=0)
     parts = sub.add_parser("partitions", help="enumerate a partition family")
     parts.add_argument("--n", type=int, required=True)
     parts.add_argument("--kind", required=True,
                        choices=[k.value for k in PartitionKind])
     parts.add_argument("--format", choices=("json", "table"), default="json")
-    parts.add_argument("--jobs", type=int, default=1)
+    parts.add_argument("--jobs", type=_jobs_count, default=1)
     parts.add_argument("--seed", type=int, default=0)
     common(sub.add_parser("cumulants", help="cumulant and moment table of a spec"),
            x=True, order=8)
@@ -219,9 +225,10 @@ def _order_or_die(requested: int) -> int:
             f" raise it via {ORDER_CAP_ENV}"
         )
     if requested > DEFAULT_ORDER_CAP:
-        est = 3 ** requested
         print(
-            f"note: order {requested} expands about {est} slot assignments per cumulant",
+            f"note: order {requested} is above the default cap {DEFAULT_ORDER_CAP};"
+            f" the expansion checks (cancellation, verify-closed-form) visit about"
+            f" {3 ** requested} slot assignments per cumulant",
             file=sys.stderr,
         )
     return requested
@@ -234,23 +241,6 @@ def _pair_from_args(args, order: int) -> DistributionPair:
         CumulantSequence.semicircular(s_var, max(order, 2)),
         spec.cumulants(max(order, 2)),
         max_order=order,
-    )
-
-
-def _additivity_order(payload) -> AdditivityReport:
-    pair, n = payload
-    lhs = real_cumulant(
-        cumulant_of_polynomials([sum_with_commutator()] * n, pair.dist_s, pair.dist_x),
-        self_adjoint=True,
-    )
-    rhs_c = real_cumulant(
-        cumulant_of_polynomials([commutator_polynomial(I_S_X)] * n,
-                                pair.dist_s, pair.dist_x),
-        self_adjoint=True,
-    )
-    return AdditivityReport(
-        n=n, lhs=lhs, rhs_s=pair.dist_s.kappa(n), rhs_c=rhs_c,
-        hypothesis_met=pair.semicircular_hypothesis,
     )
 
 
@@ -273,21 +263,24 @@ def _fock_order(payload):
     )
 
 
+def _pool_size(jobs: int, items: int, cpus: int) -> int:
+    """Worker processes for a map: never more than the jobs asked for, the
+    CPUs present or the items to map."""
+    return min(jobs, cpus, items)
+
+
 def _pmap(fn, items, jobs):
-    if jobs <= 1:
+    size = _pool_size(jobs, len(items), os.cpu_count() or 1)
+    if size <= 1:
         return [fn(it) for it in items]
-    with get_context("fork").Pool(jobs) as pool:
+    with get_context("fork").Pool(size) as pool:
         return pool.map(fn, items)
 
 
 def _cmd_verify_additivity(args) -> tuple[dict, bool]:
     order = _order_or_die(args.max_order)
     pair = _pair_from_args(args, order)
-    if args.jobs > 1:
-        reports = _pmap(_additivity_order,
-                        [(pair, n) for n in range(1, order + 1)], args.jobs)
-    else:
-        reports = verify_additivity(pair, order)
+    reports = verify_additivity(pair, order)
     if reports and _fault_active():
         reports[0] = replace(reports[0], lhs=reports[0].lhs + 1)
     ok = all(r.holds for r in reports)

@@ -1,12 +1,14 @@
 """Distributions built from the commutator of a semicircular element with a
 free partner.
 
-Provides the brute-force cumulant sequences of s + i[s,x], i[s,x] and
-x + i[x,s]; the additivity verdicts comparing kappa_n(s + i[s,x]) against
-kappa_n(s) + kappa_n(i[s,x]); the signed double sums whose vanishing is
-equivalent to that additivity; the fourth-order witness showing s and
-i[s,x] are nevertheless not free; and the closed-form cumulant of
-x + i[x,s] together with its independent expansion oracle.
+Provides the cumulant sequence of any polynomial in s and x, inverted
+from its moments in the canonical Fock model; the additivity verdicts
+comparing kappa_n(s + i[s,x]) against kappa_n(s) + kappa_n(i[s,x]); the
+closed-form cumulant of x + i[x,s]; and, on the partition walk of
+:mod:`.cumulants`, the signed double sums whose vanishing is equivalent to
+the additivity, the fourth-order witness showing s and i[s,x] are
+nevertheless not free, and the full multilinear expansion that is the
+independent oracle for the closed form.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from .cumulants import (
     Polynomial,
     cumulant_of_polynomials,
     cumulant_of_word_products,
+    cumulants_from_moments,
     format_rational,
+    polynomial_moments,
     real_cumulant,
     resolve_order_cap,
 )
@@ -105,9 +109,9 @@ class AdditivityReport:
 
 
 def cumulant_sequence_of(p: Polynomial, pair: DistributionPair, order: int,
-                         *, order_cap: int | None = None,
-                         cache: dict | None = None) -> CumulantSequence:
-    """kappa_1..kappa_order of the polynomial, by full multilinear expansion.
+                         *, order_cap: int | None = None) -> CumulantSequence:
+    """kappa_1..kappa_order of the polynomial, by inverting its moments in
+    the canonical Fock model (:func:`polynomial_moments`).
 
     Imaginary parts must vanish for self-adjoint input; a violation is an
     engine bug, not a data error.
@@ -115,21 +119,14 @@ def cumulant_sequence_of(p: Polynomial, pair: DistributionPair, order: int,
     cap = resolve_order_cap(order_cap)
     if order > cap:
         raise SizeLimitError(
-            f"order {order} exceeds the brute-force cap {cap} (override via order_cap)"
+            f"order {order} exceeds the cap {cap} (override via order_cap)"
         )
-    self_adjoint = p.is_self_adjoint
-    shared = cache if cache is not None else {}
-    values = []
-    for n in range(1, order + 1):
-        g = cumulant_of_polynomials([p] * n, pair.dist_s, pair.dist_x,
-                                    order_cap=order_cap, cache=shared)
-        values.append(real_cumulant(g, self_adjoint))
-    return CumulantSequence(values)
+    moments = polynomial_moments(p, pair.dist_s, pair.dist_x, order)
+    return cumulants_from_moments(moments, order)
 
 
 def verify_additivity(pair: DistributionPair, order: int,
-                      *, order_cap: int | None = None,
-                      cache: dict | None = None) -> list[AdditivityReport]:
+                      *, order_cap: int | None = None) -> list[AdditivityReport]:
     """Compare kappa_n(s + i[s,x]) with kappa_n(s) + kappa_n(i[s,x]) for
     n = 1..order.
 
@@ -140,11 +137,9 @@ def verify_additivity(pair: DistributionPair, order: int,
         raise TruncationError(
             f"s cumulants available to order {pair.dist_s.max_order}, need {order}")
     hypothesis = pair.semicircular_hypothesis
-    shared = cache if cache is not None else {}
-    lhs = cumulant_sequence_of(sum_with_commutator(), pair, order,
-                               order_cap=order_cap, cache=shared)
+    lhs = cumulant_sequence_of(sum_with_commutator(), pair, order, order_cap=order_cap)
     rhs_c = cumulant_sequence_of(commutator_polynomial(I_S_X), pair, order,
-                                 order_cap=order_cap, cache=shared)
+                                 order_cap=order_cap)
     return [
         AdditivityReport(
             n=n,

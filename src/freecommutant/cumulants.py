@@ -5,12 +5,15 @@ everything is exact rational arithmetic.  The central operation sums block
 products of single-variable cumulants over non-crossing partitions whose
 join with the word-grouping interval partition is full — the standard
 products-as-entries evaluation — with a pruned fast path and a deliberately
-naive unpruned oracle path.
+naive unpruned oracle path.  Moments of a whole polynomial come instead from
+Voiculescu's canonical model on the full Fock space over {s, x}, which needs
+neither the multilinear expansion nor any partition enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -626,6 +629,100 @@ def cumulant_of_polynomials(args: Sequence[Polynomial],
         if val:
             total = total + coeff * val
     return total
+
+
+def _apply_letter(state: dict[str, tuple[int, int]], letter: str, kappas: list[int],
+                  den: int, budget: int) -> dict[str, tuple[int, int]]:
+    """Apply l* + sum_k kappa_{k+1} l^k for one letter to a Fock state.
+
+    Values are Gaussian integers over a denominator shared by the whole
+    state; ``kappas`` are the letter's cumulants times ``den``, so the
+    result's denominator is ``den`` times the input's.  A word may hold at
+    most ``budget`` copies of the letter afterwards: each copy still has to
+    be annihilated by a later application of the same letter.
+    """
+    out: dict[str, tuple[int, int]] = {}
+    get = out.get
+    for word, (re, im) in state.items():
+        have = word.count(letter)
+        if have <= budget + 1 and word[:1] == letter:
+            rest = word[1:]
+            o = get(rest)
+            out[rest] = ((re * den, im * den) if o is None
+                         else (o[0] + re * den, o[1] + im * den))
+        for k in range(budget - have + 1):
+            kv = kappas[k + 1]
+            if kv:
+                grown = letter * k + word
+                o = get(grown)
+                out[grown] = ((kv * re, kv * im) if o is None
+                              else (o[0] + kv * re, o[1] + kv * im))
+    return out
+
+
+def polynomial_moments(p: Polynomial, dist_s: CumulantSequence, dist_x: CumulantSequence,
+                       order: int) -> MomentSequence:
+    """Moments m_0..m_order of ``p`` with s and x free, as vacuum
+    coefficients of p^j applied to the vacuum of the full Fock space over
+    {s, x}, where each letter acts as l* + sum_k kappa_{k+1} l^k
+    (Voiculescu's canonical model of an R-transform).
+
+    Words are applied letter by letter, right to left; a word that holds
+    more copies of a letter than the applications of that letter still to
+    come can never return to the vacuum and is dropped.  Cumulants are
+    therefore needed up to (most copies of the letter in one term) * order.
+    Arithmetic is over integers with one running denominator.  A non-real
+    moment is an engine bug for self-adjoint ``p`` and a domain error
+    otherwise.
+    """
+    most = {a: max((w.count(a) for w, _c in p.terms), default=0) for a in _ALPHABET}
+    kappas: dict[str, list[int]] = {}
+    den: dict[str, int] = {}
+    for a, dist in ((S, dist_s), (X, dist_x)):
+        table = _kappa_table(dist, most[a] * order, a)
+        den[a] = math.lcm(*(v.denominator for v in table))
+        kappas[a] = [(v * den[a]).numerator for v in table]
+    terms = p.terms + (("", p.constant),)  # the constant is the empty word
+    # One application of p multiplies the running denominator by ``step``:
+    # the coefficients' common denominator times den^most for each letter;
+    # a term with fewer letters is lifted to it by its coefficient.
+    step = math.lcm(*(v.denominator for _w, c in terms for v in (c.re, c.im)))
+    for a in _ALPHABET:
+        step *= den[a] ** most[a]
+
+    state: dict[str, tuple[int, int]] = {"": (1, 0)}
+    moments = [_ONE]
+    scale = 1
+    for j in range(1, order + 1):
+        later = order - j
+        nxt: dict[str, tuple[int, int]] = {}
+        for word, c in terms:
+            if not c:
+                continue
+            cur = state
+            for i in range(len(word) - 1, -1, -1):
+                a = word[i]
+                cur = _apply_letter(cur, a, kappas[a], den[a],
+                                    word.count(a, 0, i) + later * most[a])
+            lifted = step
+            for a in _ALPHABET:
+                lifted //= den[a] ** word.count(a)
+            cr, ci = (c.re * lifted).numerator, (c.im * lifted).numerator
+            for w, (re, im) in cur.items():
+                tr, ti = cr * re - ci * im, cr * im + ci * re
+                o = nxt.get(w)
+                nxt[w] = (tr, ti) if o is None else (o[0] + tr, o[1] + ti)
+        state = {w: v for w, v in nxt.items() if v[0] or v[1]}
+        scale *= step
+        re, im = state.get("", (0, 0))
+        if im:
+            part = Fraction(im, scale)
+            if p.is_self_adjoint:
+                raise EngineConsistencyError(
+                    f"self-adjoint input produced imaginary moment part {part} at m_{j}")
+            raise DomainError(f"moment m_{j} is not real: imaginary part {part}")
+        moments.append(Fraction(re, scale))
+    return MomentSequence(moments)
 
 
 def real_cumulant(value: GaussianRational, self_adjoint: bool) -> Fraction:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
+from freecommutant import cli
 from freecommutant.cli import main, parse_spec, run
 from freecommutant.cumulants import CumulantSequence
 from freecommutant.errors import SpecSyntaxError
@@ -189,6 +190,33 @@ class TestOutputContracts:
         _, out1, _ = run_main(args + ["--jobs", "1"], capsys)
         _, out2, _ = run_main(args + ["--jobs", "3"], capsys)
         assert out1 == out2
+
+
+class TestJobs:
+    def test_pool_size_is_bounded_by_jobs_cpus_and_items(self):
+        assert cli._pool_size(10**6, 10**6, 2) == 2
+        assert cli._pool_size(10**6, 3, 10**6) == 3
+        assert cli._pool_size(4, 10**6, 10**6) == 4
+        assert cli._pool_size(10**6, 0, 10**6) == 0
+
+    def test_one_item_never_starts_a_pool(self, monkeypatch):
+        def no_pool(*_args):
+            raise AssertionError("a pool was started")
+        monkeypatch.setattr(cli, "get_context", no_pool)
+        assert cli._pmap(str, [7], 10**6) == ["7"]
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_jobs_below_one_is_usage_error(self, capsys, monkeypatch, value):
+        def no_pool(*_args):
+            raise AssertionError("a pool was started")
+        monkeypatch.setattr(cli, "get_context", no_pool)
+        for command in (["cancellation", "--x", "free-poisson(1)"],
+                        ["partitions", "--n", "3", "--kind", "nc"],
+                        ["fid-check", "--sequence", "cumulants[0,1]"]):
+            code, out, err = run_main(command + ["--jobs", value], capsys)
+            assert code == 2
+            assert out == ""
+            assert "--jobs" in err
 
 
 class TestExitCodes:

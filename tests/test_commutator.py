@@ -36,13 +36,14 @@ STD_S = CumulantSequence.semicircular(1, 8)
 FP1 = CumulantSequence.free_poisson(1, 8)
 
 
-def bernoulli_half():
-    return cumulants_from_moments(MomentSequence([1] + [Fraction(1, 2)] * 8), 8)
+def bernoulli_half(order=8):
+    return cumulants_from_moments(MomentSequence([1] + [Fraction(1, 2)] * order), order)
 
 
-def atomic_third():
-    moments = [1] + [Fraction(1, 3) * (-1) ** k + Fraction(2, 3) * 2 ** k for k in range(1, 9)]
-    return cumulants_from_moments(MomentSequence(moments), 8)
+def atomic_third(order=8):
+    moments = [1] + [Fraction(1, 3) * (-1) ** k + Fraction(2, 3) * 2 ** k
+                     for k in range(1, order + 1)]
+    return cumulants_from_moments(MomentSequence(moments), order)
 
 
 class TestCommutatorPolynomial:
@@ -131,6 +132,33 @@ class TestAdditivity:
     def test_report_json_shape(self):
         r = AdditivityReport(2, Fraction(3), Fraction(1), Fraction(2))
         assert r.to_json() == {"n": 2, "lhs": "3", "rhs_s": "1", "rhs_c": "2", "holds": True}
+
+
+class TestAdditivityPastTheExpansion:
+    """Orders the 3^n expansion cannot reach in a test run."""
+
+    @staticmethod
+    def x_suite(order):
+        # the acceptance suite's laws for x
+        return [bernoulli_half(order), CumulantSequence.free_poisson(1, order),
+                CumulantSequence.semicircular(1, order), atomic_third(order)]
+
+    @pytest.mark.parametrize("s_var", [1, 2])
+    def test_order_10_over_the_x_suite(self, s_var):
+        for dist_x in self.x_suite(10):
+            pair = DistributionPair.standard(dist_x, s_var, 10)
+            reports = verify_additivity(pair, 10, order_cap=10)
+            assert all(r.holds for r in reports), dist_x
+            assert any(r.rhs_c for r in reports), dist_x  # the commutator is not 0
+
+    def test_order_12(self):
+        pair = DistributionPair.standard(atomic_third(12), 2, 12)
+        assert all(r.holds for r in verify_additivity(pair, 12, order_cap=12))
+
+    def test_order_cap_still_applies(self):
+        pair = DistributionPair.standard(CumulantSequence.free_poisson(1, 9), 1, 9)
+        with pytest.raises(SizeLimitError):
+            verify_additivity(pair, 9)
 
 
 class TestFreenessWitness:

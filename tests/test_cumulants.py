@@ -19,6 +19,7 @@ from freecommutant.cumulants import (
     kappa_block,
     kappa_pi,
     moments_from_cumulants,
+    polynomial_moments,
 )
 from freecommutant.errors import (
     DomainError,
@@ -331,3 +332,91 @@ class TestPolynomialCumulants:
     def test_empty_slots_rejected(self):
         with pytest.raises(DomainError):
             cumulant_of_polynomials([], GENERIC_S, GENERIC_X)
+
+
+# Polynomials of at most three terms over words of at most ``longest``
+# letters.  Self-adjoint ones: a palindrome with a real coefficient is one
+# term, a word with a Q(i) coefficient plus its adjoint is two.
+_PALINDROMES = ["s", "x", "ss", "xx", "sxs", "xsx", "sss", "xxx"]
+_ASYMMETRIC = ["sx", "xs", "ssx", "xss", "sxx", "xxs"]
+
+
+def _short(words, longest):
+    return st.sampled_from([w for w in words if len(w) <= longest])
+
+
+def hermitian_poly(longest):
+    return st.builds(
+        lambda pair, singles, const: Polynomial(
+            [(w, GaussianRational.of(re)) for w, re in singles]
+            + ([(pair[0], GaussianRational.of(pair[1], pair[2])),
+                (pair[0][::-1], GaussianRational.of(pair[1], -pair[2]))] if pair else []),
+            GaussianRational.of(const),
+        ),
+        st.none() | st.tuples(_short(_ASYMMETRIC, longest), rationals, rationals),
+        st.lists(st.tuples(_short(_PALINDROMES, longest), rationals), max_size=3),
+        st.just(0) | rationals,
+    ).filter(lambda p: 1 <= len(p.terms) <= 3)
+
+
+def any_poly(longest):
+    return st.builds(
+        lambda terms, const: Polynomial(
+            [(w, GaussianRational.of(re, im)) for w, re, im in terms], const),
+        st.lists(st.tuples(_short(_PALINDROMES + _ASYMMETRIC, longest), rationals, rationals),
+                 min_size=1, max_size=3),
+        st.just(GR_ZERO) | st.builds(GaussianRational.of, rationals, rationals),
+    ).filter(lambda p: p.terms)
+
+
+# The expansion oracle walks order * longest letters; keep that to 10, so
+# orders 4 and 5 use words of at most two letters.  The lower orders are
+# compared too, as the head of each sequence.
+order_and_poly = st.integers(3, 5).flatmap(
+    lambda n: st.tuples(st.just(n), hermitian_poly(10 // n) | any_poly(10 // n)))
+
+# most letters of one kind in a term (3) times the highest order (5)
+long_kappas = st.lists(rationals, min_size=15, max_size=15)
+
+
+class TestPolynomialMoments:
+    """The canonical Fock-model moments against the multilinear expansion
+    on the partition walk, which shares no code with them."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(order_and_poly, long_kappas, long_kappas)
+    def test_inverted_moments_match_expansion(self, order_poly, ks, kx):
+        order, p = order_poly
+        dist_s, dist_x = CumulantSequence(ks), CumulantSequence(kx)
+        if dist_s.is_semicircular:
+            dist_s = CumulantSequence([1] + ks[1:])
+        oracle = [cumulant_of_polynomials([p] * n, dist_s, dist_x)
+                  for n in range(1, order + 1)]
+        if all(v.is_real for v in oracle):
+            moments = polynomial_moments(p, dist_s, dist_x, order)
+            assert cumulants_from_moments(moments, order).values == tuple(v.re for v in oracle)
+        else:
+            assert not p.is_self_adjoint
+            with pytest.raises(DomainError):
+                polynomial_moments(p, dist_s, dist_x, order)
+
+    def test_letter_moments_are_the_inputs(self):
+        for letter, dist in (("s", GENERIC_S), ("x", GENERIC_X)):
+            moments = polynomial_moments(Polynomial.from_word(letter), GENERIC_S, GENERIC_X, 10)
+            assert moments == moments_from_cumulants(dist, 10)
+
+    def test_constant_only(self):
+        p = Polynomial(constant=GaussianRational.of(3))
+        assert polynomial_moments(p, STD_S, FP1, 4).values == (1, 3, 9, 27, 81)
+
+    def test_short_sequence_is_truncation_error(self):
+        # ss at order 3 needs kappa_1..kappa_6 of s
+        short_s = CumulantSequence([0, 1, 0, 2, 0])
+        with pytest.raises(TruncationError):
+            polynomial_moments(Polynomial.from_word("ss"), short_s, FP1, 3)
+        assert polynomial_moments(Polynomial.from_word("ss"), short_s, FP1, 2).max_order == 2
+
+    def test_non_real_moment_is_domain_error(self):
+        p = Polynomial.from_word("x", GR_I)  # m_1 = i kappa_1(x)
+        with pytest.raises(DomainError):
+            polynomial_moments(p, STD_S, FP1, 2)
