@@ -2,28 +2,27 @@
 free partner.
 
 Provides the cumulant sequence of any polynomial in s and x, inverted
-from its moments in the canonical Fock model; the additivity verdicts
-comparing kappa_n(s + i[s,x]) against kappa_n(s) + kappa_n(i[s,x]); the
-closed-form cumulant of x + i[x,s]; and, on the partition walk of
-:mod:`.cumulants`, the signed double sums whose vanishing is equivalent to
-the additivity, the fourth-order witness showing s and i[s,x] are
-nevertheless not free, and the full multilinear expansion that is the
-independent oracle for the closed form.
+from its moments in the canonical Fock model; on that route, the
+additivity verdicts comparing kappa_n(s + i[s,x]) against kappa_n(s) +
+kappa_n(i[s,x]), the signed double sums whose vanishing is equivalent to
+the additivity (read off kappa_n(s + t(sx - xs)) as a polynomial in t), and
+kappa_n(x + i[x,s]) as the independent oracle for its closed form, which is
+also here; and, on the partition walk of :mod:`.cumulants`, the
+fourth-order witness showing s and i[s,x] are nevertheless not free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .cumulants import (
     GR_I,
+    GR_ONE,
     CumulantSequence,
     GaussianRational,
     Polynomial,
     cumulant_of_polynomials,
-    cumulant_of_word_products,
     cumulants_from_moments,
     format_rational,
     polynomial_moments,
@@ -31,7 +30,7 @@ from .cumulants import (
     resolve_order_cap,
 )
 from .errors import DomainError, SizeLimitError, TruncationError
-from .partitions import PartitionKind, assign_by_blocks, compose_interval, iter_partitions
+from .partitions import PartitionKind, compose_interval, iter_partitions
 
 I_S_X = "i[s,x]"
 I_X_S = "i[x,s]"
@@ -162,12 +161,47 @@ def freeness_witness(pair: DistributionPair) -> Fraction:
     return real_cumulant(value, self_adjoint=True)
 
 
+def _coefficients_from_values(values: list[Fraction]) -> list[Fraction]:
+    """Coefficients c_0..c_d of the polynomial of degree <= d that takes
+    ``values[t]`` at t = 0..d: Newton forward differences, with each
+    binomial C(t, j) expanded to monomials."""
+    coeffs = [Fraction(0)] * len(values)
+    diffs = list(values)
+    binomial = [Fraction(1)]  # C(t, j) by powers of t
+    for j in range(len(values)):
+        for i, b in enumerate(binomial):
+            coeffs[i] += diffs[0] * b
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        # C(t, j + 1) = C(t, j) (t - j) / (j + 1)
+        binomial = [(lo - j * hi) / (j + 1) for lo, hi in zip([0] + binomial, binomial + [0])]
+    return coeffs
+
+
+def _cancellation_coefficients(n: int, pair: DistributionPair, order: int,
+                               cache: dict) -> list[Fraction]:
+    """Coefficients of t^0..t^n in kappa_n(s + t(sx - xs)), from its values
+    at t = 0..n; ``cache`` maps t to the cumulant sequence of s + t(sx - xs)
+    to ``order``."""
+    values = []
+    for t in range(n + 1):
+        seq = cache.get(t)
+        if seq is None or seq.max_order < n:
+            p = Polynomial([(_S_WORD, GR_ONE), (_SX, GaussianRational.of(t)),
+                            (_XS, GaussianRational.of(-t))])
+            seq = cache[t] = cumulant_sequence_of(p, pair, order, order_cap=order)
+        values.append(seq.kappa(n))
+    return _coefficients_from_values(values)
+
+
 def cancellation_sum(n: int, k: int, pair: DistributionPair,
                      *, order_cap: int | None = None,
                      cache: dict | None = None) -> GaussianRational:
     """The signed double sum over |B| = k and D subset of B of
     (-1)^|D| kappa_n(sx on B\\D, xs on D, s elsewhere); identically zero for
-    semicircular s, which is exactly what makes the additivity work."""
+    semicircular s, which is exactly what makes the additivity work.  By
+    multilinearity it is the t^k coefficient of kappa_n(s + t(sx - xs)).
+    ``cache`` (caller-owned, one pair) maps t to the cumulant sequence of
+    s + t(sx - xs) to order max(n, pair.max_order), shared by every (n, k)."""
     if not 1 <= k < n:
         raise DomainError(f"need 1 <= k < n, got k={k}, n={n}")
     cap = resolve_order_cap(order_cap)
@@ -175,35 +209,9 @@ def cancellation_sum(n: int, k: int, pair: DistributionPair,
         raise SizeLimitError(f"order {n} exceeds the cap {cap} (override via order_cap)")
     if not pair.semicircular_hypothesis:
         raise DomainError("cancellation_sum requires a semicircular s")
-    grouped: dict[tuple[str, ...], int] = {}
-    universe = range(1, n + 1)
-    for b_set in combinations(universe, k):
-        b = frozenset(b_set)
-        members = list(b_set)
-        for mask in range(1 << k):
-            d = frozenset(members[i] for i in range(k) if mask >> i & 1)
-            groups = []
-            if b - d:
-                groups.append((b - d, [_SX]))
-            if d:
-                groups.append((d, [_XS]))
-            rest = frozenset(universe) - b
-            if rest:
-                groups.append((rest, [_S_WORD]))
-            words = assign_by_blocks(groups)
-            sign = -1 if len(d) % 2 else 1
-            key = min(words[r:] + words[:r] for r in range(n))
-            grouped[key] = grouped.get(key, 0) + sign
-    shared = cache if cache is not None else {}
-    total = Fraction(0)
-    for words, weight in grouped.items():
-        if weight == 0:
-            continue
-        val = cumulant_of_word_products(words, pair.dist_s, pair.dist_x,
-                                        order_cap=order_cap, cache=shared)
-        if val:
-            total += weight * val
-    return GaussianRational(total)
+    order = max(n, min(pair.max_order, cap))
+    coeffs = _cancellation_coefficients(n, pair, order, cache if cache is not None else {})
+    return GaussianRational(coeffs[k])
 
 
 def closed_form_cumulant(n: int, dist_x: CumulantSequence) -> Fraction:
@@ -232,16 +240,10 @@ def closed_form_cumulant(n: int, dist_x: CumulantSequence) -> Fraction:
 
 
 def expansion_cumulant(n: int, dist_x: CumulantSequence, s_variance=1,
-                       *, order_cap: int | None = None,
-                       cache: dict | None = None) -> Fraction:
-    """kappa_n(x + i[x,s]) by full multilinear expansion — the independent
-    oracle for :func:`closed_form_cumulant`; exposes the s variance, which
-    the closed form normalizes to 1."""
-    cap = resolve_order_cap(order_cap)
-    if n > cap:
-        raise SizeLimitError(f"order {n} exceeds the cap {cap} (override via order_cap)")
+                       *, order_cap: int | None = None) -> Fraction:
+    """kappa_n(x + i[x,s]) inverted from its canonical-model moments
+    (:func:`cumulant_sequence_of`) — the independent oracle for
+    :func:`closed_form_cumulant`; exposes the s variance, which the closed
+    form normalizes to 1."""
     pair = DistributionPair.standard(dist_x, s_variance, max_order=max(n, 2))
-    value = cumulant_of_polynomials([perturbed_partner()] * n,
-                                    pair.dist_s, pair.dist_x,
-                                    order_cap=order_cap, cache=cache)
-    return real_cumulant(value, self_adjoint=True)
+    return cumulant_sequence_of(perturbed_partner(), pair, n, order_cap=order_cap).kappa(n)

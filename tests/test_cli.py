@@ -219,6 +219,49 @@ class TestJobs:
             assert "--jobs" in err
 
 
+class TestBadArguments:
+    """Bad numbers end in exit 2 with an argparse message, never in a
+    traceback or a verdict over an empty range."""
+
+    @pytest.mark.parametrize("literal", ["abc", "1/0"])
+    @pytest.mark.parametrize("command", ["verify-additivity", "cancellation"])
+    def test_bad_s_var_literal(self, capsys, command, literal):
+        code, out, err = run_main(
+            [command, "--x", "free-poisson(1)", "--s-var", literal, "--max-order", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--s-var" in err and "Traceback" not in err
+
+    def test_s_var_takes_exact_rationals(self, capsys):
+        code, out, _ = run_main(
+            ["cancellation", "--x", "free-poisson(1)", "--s-var", "3/2", "--max-order", "3"],
+            capsys)
+        assert code == 0
+        assert json.loads(out)["s_var"] == "3/2"
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("argv,flag", [
+        (["verify-additivity", "--x", "free-poisson(1)"], "--max-order"),
+        (["cancellation", "--x", "free-poisson(1)"], "--max-order"),
+        (["verify-closed-form", "--x", "free-poisson(1)"], "--max-order"),
+        (["verify-fock", "--rho", "atomic(1:1)"], "--max-order"),
+        (["fid-check", "--rho", "atomic(1:1)"], "--size"),
+    ], ids=["verify-additivity", "cancellation", "verify-closed-form", "verify-fock",
+            "fid-check"])
+    def test_empty_range_is_usage_error(self, capsys, argv, flag, value):
+        code, out, err = run_main(argv + [flag, value], capsys)
+        assert code == 2
+        assert out == ""
+        assert flag in err and "Traceback" not in err
+
+    def test_cancellation_needs_order_two(self, capsys):
+        code, out, err = run_main(
+            ["cancellation", "--x", "free-poisson(1)", "--max-order", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--max-order" in err and "Traceback" not in err
+
+
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["no-such-command"]) == 2
@@ -244,7 +287,8 @@ class TestExitCodes:
         code, _, err = run_main(
             ["verify-additivity", "--x", "cumulants[5]", "--max-order", "9"], capsys)
         assert code == 0
-        assert "slot assignments" in err  # cost estimate on stderr
+        assert "above the default cap 8" in err  # a note, with no cost claim
+        assert "slot assignments" not in err
 
     def test_injected_fault_flips_exit(self, capsys, monkeypatch):
         monkeypatch.setenv("FREECOMMUTANT_INJECT_FAULT", "1")

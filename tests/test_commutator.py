@@ -2,12 +2,15 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freecommutant.commutator import (
     I_S_X,
     I_X_S,
     AdditivityReport,
     DistributionPair,
+    _cancellation_coefficients,
+    _coefficients_from_values,
     cancellation_sum,
     closed_form_cumulant,
     commutator_polynomial,
@@ -27,8 +30,10 @@ from freecommutant.cumulants import (
     GaussianRational,
     MomentSequence,
     Polynomial,
+    cumulant_of_polynomials,
     cumulant_of_word_products,
     cumulants_from_moments,
+    real_cumulant,
 )
 from freecommutant.errors import DomainError, SizeLimitError
 
@@ -44,6 +49,12 @@ def atomic_third(order=8):
     moments = [1] + [Fraction(1, 3) * (-1) ** k + Fraction(2, 3) * 2 ** k
                      for k in range(1, order + 1)]
     return cumulants_from_moments(MomentSequence(moments), order)
+
+
+def x_suite(order):
+    # the acceptance suite's laws for x
+    return [bernoulli_half(order), CumulantSequence.free_poisson(1, order),
+            CumulantSequence.semicircular(1, order), atomic_third(order)]
 
 
 class TestCommutatorPolynomial:
@@ -137,15 +148,9 @@ class TestAdditivity:
 class TestAdditivityPastTheExpansion:
     """Orders the 3^n expansion cannot reach in a test run."""
 
-    @staticmethod
-    def x_suite(order):
-        # the acceptance suite's laws for x
-        return [bernoulli_half(order), CumulantSequence.free_poisson(1, order),
-                CumulantSequence.semicircular(1, order), atomic_third(order)]
-
     @pytest.mark.parametrize("s_var", [1, 2])
     def test_order_10_over_the_x_suite(self, s_var):
-        for dist_x in self.x_suite(10):
+        for dist_x in x_suite(10):
             pair = DistributionPair.standard(dist_x, s_var, 10)
             reports = verify_additivity(pair, 10, order_cap=10)
             assert all(r.holds for r in reports), dist_x
@@ -223,6 +228,95 @@ class TestCancellation:
         assert isinstance(value, GaussianRational)
         assert value.is_real
 
+    def test_cache_grows_past_the_pair_order(self):
+        pair = DistributionPair(CumulantSequence.semicircular(1, 6), FP1, 3)
+        cache = {}
+        for n in range(2, 7):
+            for k in range(1, n):
+                assert not cancellation_sum(n, k, pair, cache=cache)
+        assert all(seq.max_order == 6 for seq in cache.values())
+
+    def test_order_cap_applies_to_n(self):
+        pair = DistributionPair.standard(CumulantSequence.free_poisson(1, 9), 1, 9)
+        assert not cancellation_sum(8, 3, pair)  # the pair's order is above the cap
+        with pytest.raises(SizeLimitError):
+            cancellation_sum(9, 3, pair)
+
+
+class TestCoefficientsFromValues:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=30),
+                    min_size=1, max_size=13))
+    def test_recovers_every_coefficient(self, coeffs):
+        # degree 0..12, evaluated at t = 0..degree
+        values = [sum(c * t ** i for i, c in enumerate(coeffs)) for t in range(len(coeffs))]
+        assert _coefficients_from_values(values) == coeffs
+
+
+class TestCancellationAgainstTheWalk:
+    """The coefficient route against the signed double sum by the partition
+    walk, with a non-semicircular s so that the sums do not vanish."""
+
+    S = CumulantSequence([Fraction(1, 3), 2, Fraction(-1, 2), 1, Fraction(3, 2)])
+    X = CumulantSequence([Fraction(1, 2), Fraction(1, 4), 0, Fraction(-1, 16), 3])
+
+    def walk_sums(self, n):
+        s = letter_polynomial("s")
+        d = Polynomial([("sx", GR_ONE), ("xs", -GR_ONE)])  # sx - xs
+        sums = []
+        for k in range(n + 1):
+            total = GR_ZERO
+            for block in itertools.combinations(range(n), k):
+                args = [d if i in block else s for i in range(n)]
+                total = total + cumulant_of_polynomials(args, self.S, self.X)
+            sums.append(real_cumulant(total, self_adjoint=False))
+        return sums
+
+    def test_coefficients_equal_walk_sums(self):
+        pair = DistributionPair(self.S, self.X, 5)
+        cache = {}
+        nonzero_even = 0
+        for n in range(1, 6):
+            coeffs = _cancellation_coefficients(n, pair, 5, cache)
+            assert coeffs == self.walk_sums(n), n
+            nonzero_even += sum(1 for k in range(2, n, 2) if coeffs[k])
+        assert nonzero_even >= 2  # an extractor returning 0 would fail
+
+    def test_guard_still_refuses_this_pair(self):
+        with pytest.raises(DomainError):
+            cancellation_sum(3, 2, DistributionPair(self.S, self.X, 5))
+
+
+class TestExpansionAgainstTheWalk:
+    @pytest.mark.parametrize("s_var", [1, Fraction(1, 2)])
+    def test_fock_route_equals_walk_through_six(self, s_var):
+        for dist_x in x_suite(6):
+            for n in range(1, 7):
+                pair = DistributionPair.standard(dist_x, s_var, max(n, 2))
+                walk = cumulant_of_polynomials(
+                    [perturbed_partner()] * n, pair.dist_s, pair.dist_x)
+                assert expansion_cumulant(n, dist_x, s_var) == real_cumulant(
+                    walk, self_adjoint=True), (dist_x, n)
+
+
+class TestPastTheWalkHorizon:
+    """Orders the partition walk cannot reach in a test run."""
+
+    def test_cancellation_vanishes_through_order_10(self):
+        pair = DistributionPair.standard(atomic_third(10), 2, 10)
+        cache = {}
+        for n in range(2, 11):
+            for k in range(1, n):
+                assert not cancellation_sum(n, k, pair, order_cap=10, cache=cache), (n, k)
+        # the top coefficient is kappa_10(sx - xs), which does not vanish
+        assert _cancellation_coefficients(10, pair, 10, cache)[10]
+
+    def test_closed_form_equals_expansion_nine_to_twelve(self):
+        for dist_x in x_suite(12):
+            for n in range(9, 13):
+                assert closed_form_cumulant(n, dist_x) == expansion_cumulant(
+                    n, dist_x, 1, order_cap=12), (dist_x, n)
+
 
 class TestClosedForm:
     def test_first_order_is_bare_cumulant(self):
@@ -245,9 +339,8 @@ class TestClosedForm:
 
     def test_matches_expansion_through_six(self):
         for x in (FP1, bernoulli_half(), CumulantSequence.semicircular(1, 8)):
-            cache = {}
             for n in range(1, 7):
-                assert closed_form_cumulant(n, x) == expansion_cumulant(n, x, 1, cache=cache)
+                assert closed_form_cumulant(n, x) == expansion_cumulant(n, x, 1)
 
     def test_general_variance_second_order(self):
         for t in (1, 2, Fraction(1, 3)):
