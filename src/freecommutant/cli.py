@@ -21,8 +21,8 @@ from .commutator import (
     cancellation_sum,
     closed_form_cumulant,
     cumulant_sequence_of,
-    expansion_cumulant,
     freeness_witness,
+    perturbed_partner,
     sum_with_commutator,
     verify_additivity,
 )
@@ -39,10 +39,11 @@ from .cumulants import (
 from .errors import FreeCommutantError, SpecSyntaxError
 from .fid import compound_poisson_from_rho, hankel_fid_check
 from .fock import (
+    ADJOINT_MOMENT_ORDER,
     ADJOINT_PAIRS,
     RhoMoments,
     composition_formula_cumulant,
-    model_cumulant,
+    model_cumulants,
     verify_adjointness,
 )
 from .partitions import PartitionKind, iter_partitions
@@ -227,11 +228,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _order_or_die(requested: int) -> int:
+def _order_or_die(requested: int, source: str = "--max-order") -> int:
+    """The order, unless it is above the cap; ``source`` names the option
+    it comes from in the message."""
     cap = resolve_order_cap()
     if requested > cap:
         raise FreeCommutantError(
-            f"--max-order {requested} exceeds the cap {cap};"
+            f"order {requested} (from {source}) exceeds the cap {cap};"
             f" raise it via {ORDER_CAP_ENV}"
         )
     if requested > DEFAULT_ORDER_CAP:
@@ -253,16 +256,12 @@ def _pair_from_args(args, order: int) -> DistributionPair:
 
 def _closed_form_order(payload):
     dist_x, n = payload
-    return closed_form_cumulant(n, dist_x), expansion_cumulant(n, dist_x, 1)
+    return closed_form_cumulant(n, dist_x)
 
 
 def _fock_order(payload):
     rho, dist_x, n = payload
-    return (
-        model_cumulant(n, rho),
-        composition_formula_cumulant(n, rho),
-        closed_form_cumulant(n, dist_x),
-    )
+    return composition_formula_cumulant(n, rho), closed_form_cumulant(n, dist_x)
 
 
 def _pool_size(jobs: int, items: int, cpus: int) -> int:
@@ -343,10 +342,12 @@ def _cmd_verify_closed_form(args) -> tuple[dict, bool]:
     order = _order_or_die(args.max_order)
     spec = parse_spec(args.x)
     dist_x = spec.cumulants(max(order, 2))
-    results = _pmap(_closed_form_order,
-                    [(dist_x, n) for n in range(1, order + 1)], args.jobs)
+    closed_forms = _pmap(_closed_form_order,
+                         [(dist_x, n) for n in range(1, order + 1)], args.jobs)
+    pair = DistributionPair.standard(dist_x, 1, max_order=max(order, 2))
+    oracles = cumulant_sequence_of(perturbed_partner(), pair, order).values
     entries = []
-    for n, (closed, oracle) in zip(range(1, order + 1), results):
+    for n, closed, oracle in zip(range(1, order + 1), closed_forms, oracles):
         if n == 1:
             closed = _perturb(closed)
         entries.append({
@@ -369,13 +370,14 @@ def _cmd_verify_closed_form(args) -> tuple[dict, bool]:
 def _cmd_verify_fock(args) -> tuple[dict, bool]:
     order = _order_or_die(args.max_order)
     spec = parse_spec(args.rho)
-    # the adjointness samples pair exponents up to order 8
-    rho = spec.rho(max(order + 1, 8) if spec.kind == "atomic" else order + 1)
+    rho = spec.rho(max(order + 1, ADJOINT_MOMENT_ORDER) if spec.kind == "atomic"
+                   else order + 1)
     dist_x = compound_poisson_from_rho(rho, order)
+    models = model_cumulants(order, rho)
     results = _pmap(_fock_order,
                     [(rho, dist_x, n) for n in range(1, order + 1)], args.jobs)
     entries = []
-    for n, (model, comp, closed) in zip(range(1, order + 1), results):
+    for n, model, (comp, closed) in zip(range(1, order + 1), models, results):
         if n == 1:
             model = _perturb(model)
         entries.append({
@@ -409,6 +411,7 @@ def _cmd_fid_check(args) -> tuple[dict, bool]:
     if args.sequence:
         checks.append(("sequence", parse_spec(args.sequence).cumulants(order)))
     if args.rho:
+        _order_or_die(order, "2 * --size")
         rho = parse_spec(args.rho).rho(order)
         dist_x = compound_poisson_from_rho(rho, order)
         checks.append(("x+i[x,s]", CumulantSequence(
@@ -453,7 +456,7 @@ def _cmd_partitions(args) -> tuple[dict, bool]:
 
 
 def _cmd_cumulants(args) -> tuple[dict, bool]:
-    order = args.max_order
+    order = _order_or_die(args.max_order)
     spec = parse_spec(args.x)
     seq = spec.cumulants(order)
     moments = moments_from_cumulants(seq, order)

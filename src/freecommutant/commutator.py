@@ -25,12 +25,13 @@ from .cumulants import (
     cumulant_of_polynomials,
     cumulants_from_moments,
     format_rational,
+    over_common_denominator,
     polynomial_moments,
     real_cumulant,
     resolve_order_cap,
 )
 from .errors import DomainError, SizeLimitError, TruncationError
-from .partitions import PartitionKind, compose_interval, iter_partitions
+from .partitions import PartitionKind, iter_partitions
 
 I_S_X = "i[s,x]"
 I_X_S = "i[x,s]"
@@ -219,24 +220,32 @@ def closed_form_cumulant(n: int, dist_x: CumulantSequence) -> Fraction:
     combinatorial closed form: kappa_n(x) plus, over interval partitions of
     {1..n} with all blocks of size >= 2 and over non-crossing partitions of
     their block indices, the first-block size times the block-product of x
-    cumulants of the merged partition."""
+    cumulants of the merged partition.  A merged block's size is the sum of
+    the sizes of the interval blocks it merges (as in
+    :func:`.partitions.compose_interval`); each NC(k) is enumerated once per
+    call, and the products are taken over integers, one cumulant
+    denominator per block."""
     if n < 1:
         raise DomainError(f"order must be positive, got {n}")
-    total = dist_x.kappa(n)
+    kappas, den = over_common_denominator(
+        [Fraction(0)] + [dist_x.kappa(k) for k in range(1, n + 1)])
+    by_blocks = [0] * (n + 1)
+    families: dict[int, list[tuple[tuple[int, ...], ...]]] = {}
     for sigma in iter_partitions(n, PartitionKind.INTERVAL_MIN2):
-        weight = len(sigma.blocks[0])
-        k = sigma.num_blocks
-        for pi in iter_partitions(k, PartitionKind.NC):
-            rho = compose_interval(pi, sigma)
-            prod = Fraction(weight)
-            for z in rho.blocks:
-                kv = dist_x.kappa(len(z))
-                if kv == 0:
-                    prod = Fraction(0)
+        sizes = [len(b) for b in sigma.blocks]
+        k = len(sizes)
+        family = families.get(k)
+        if family is None:
+            family = families[k] = [pi.blocks for pi in iter_partitions(k, PartitionKind.NC)]
+        for blocks in family:
+            prod = sizes[0]
+            for v in blocks:
+                prod *= kappas[sum(sizes[j - 1] for j in v)]
+                if not prod:
                     break
-                prod *= kv
-            total += prod
-    return total
+            by_blocks[len(blocks)] += prod
+    return dist_x.kappa(n) + sum(
+        (Fraction(v, den ** b) for b, v in enumerate(by_blocks) if v), Fraction(0))
 
 
 def expansion_cumulant(n: int, dist_x: CumulantSequence, s_variance=1,

@@ -70,6 +70,14 @@ def as_fraction(value) -> Fraction:
     raise DomainError(f"not an exact rational: {value!r}")
 
 
+def over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values as integer numerators over their least common denominator,
+    and that denominator: exact sums of products then need no gcd until the
+    end."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def format_rational(value: Fraction) -> str:
     """Render as 'p' or 'p/q'; the only numeric format the package emits."""
     return str(value)
@@ -245,55 +253,69 @@ class MomentSequence:
         return f"MomentSequence({[str(v) for v in self.values]})"
 
 
-def _gap_sums(moments: list[Fraction], parts: int, total: int) -> Fraction:
-    """Sum over compositions of ``total`` into ``parts`` nonnegative gaps of
-    the product of the gap moments."""
-    acc = [_ONE] + [_ZERO] * total
-    for _ in range(parts):
-        nxt = [_ZERO] * (total + 1)
-        for r in range(total + 1):
-            a = acc[r]
-            if a == 0:
-                continue
-            for t in range(total - r + 1):
-                m = moments[t]
-                if m != 0:
-                    nxt[r + t] += a * m
-        acc = nxt
-    return acc[total]
+def _extend_powers(powers: list[list[Fraction]], m: list[Fraction], n: int) -> None:
+    """Add the diagonal k + j = n to the table powers[k][j] = [z^j] M(z)^k,
+    where M(z) = sum_t m_t z^t.
+
+    Each new entry is one convolution of the moments with the row below,
+    [z^j] M^k = sum_t m_t [z^(j-t)] M^(k-1), which only needs m_0..m_(n-1)
+    and diagonals below n; row n starts at [z^0] M^n = 1.
+    """
+    powers[0].append(_ZERO)
+    for k in range(1, n):
+        below = powers[k - 1]
+        j = n - k
+        total = _ZERO
+        for t in range(j + 1):
+            mt = m[t]
+            if mt != 0:
+                b = below[j - t]
+                if b != 0:
+                    total += mt * b
+        powers[k].append(total)
+    powers.append([_ONE])
 
 
 def moments_from_cumulants(seq: CumulantSequence, order: int) -> MomentSequence:
     """Moments of the distribution with the given free cumulants.
 
-    Uses the first-block recursion over non-crossing partitions:
-    m_n = sum_k kappa_k * (products of gap moments).
+    Uses the first-block recursion over non-crossing partitions,
+    m_n = sum_k kappa_k [z^(n-k)] M(z)^k: the block of 1 has k elements and
+    its k gaps hold arbitrary partitions.  The power table is extended by
+    one diagonal per new moment, so the whole sequence costs O(order^3).
     """
     if order > seq.max_order:
         raise TruncationError(f"need cumulants to order {order}, have {seq.max_order}")
     m: list[Fraction] = [_ONE]
+    powers: list[list[Fraction]] = [[_ONE]]
     for n in range(1, order + 1):
+        _extend_powers(powers, m, n)
         total = _ZERO
         for k in range(1, n + 1):
             kv = seq.kappa(k)
             if kv != 0:
-                total += kv * _gap_sums(m, k, n - k)
+                total += kv * powers[k][n - k]
         m.append(total)
     return MomentSequence(m)
 
 
 def cumulants_from_moments(mseq: MomentSequence, order: int) -> CumulantSequence:
-    """Exact inverse of :func:`moments_from_cumulants`."""
+    """Exact inverse of :func:`moments_from_cumulants`: the same recursion
+    solved for its last term, kappa_n = m_n - sum_(k<n) kappa_k [z^(n-k)] M(z)^k,
+    with the power table of the known moments built up front (O(order^3))."""
     if order > mseq.max_order:
         raise TruncationError(f"need moments to order {order}, have {mseq.max_order}")
     m = [mseq.moment(k) for k in range(order + 1)]
+    powers: list[list[Fraction]] = [[_ONE]]
+    for n in range(1, order + 1):
+        _extend_powers(powers, m, n)
     kappas: list[Fraction] = []
     for n in range(1, order + 1):
         value = m[n]
         for k in range(1, n):
             kv = kappas[k - 1]
             if kv != 0:
-                value -= kv * _gap_sums(m, k, n - k)
+                value -= kv * powers[k][n - k]
         kappas.append(value)
     return CumulantSequence(kappas)
 
@@ -679,9 +701,7 @@ def polynomial_moments(p: Polynomial, dist_s: CumulantSequence, dist_x: Cumulant
     kappas: dict[str, list[int]] = {}
     den: dict[str, int] = {}
     for a, dist in ((S, dist_s), (X, dist_x)):
-        table = _kappa_table(dist, most[a] * order, a)
-        den[a] = math.lcm(*(v.denominator for v in table))
-        kappas[a] = [(v * den[a]).numerator for v in table]
+        kappas[a], den[a] = over_common_denominator(_kappa_table(dist, most[a] * order, a))
     terms = p.terms + (("", p.constant),)  # the constant is the empty word
     # One application of p multiplies the running denominator by ``step``:
     # the coefficients' common denominator times den^most for each letter;

@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .cumulants import as_fraction, format_rational
+from .cumulants import as_fraction, format_rational, over_common_denominator
 from .errors import DomainError, TruncationError
 from .partitions import PartitionKind, iter_partitions
 
@@ -130,6 +130,14 @@ class FockVector:
         object.__setattr__(self, "terms", state)
 
     @classmethod
+    def _trusted(cls, terms: dict[tuple[int, ...], Fraction]) -> "FockVector":
+        """Wrap a dict that is already canonical (valid tensors, nonzero
+        Fractions) without validating it again; for vectors built here."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "terms", terms)
+        return v
+
+    @classmethod
     def vacuum(cls) -> "FockVector":
         return cls([((0,), _ONE)])
 
@@ -150,7 +158,7 @@ class FockVector:
             acc[t] = acc.get(t, _ZERO) + c
             if not acc[t]:
                 del acc[t]
-        return FockVector(acc)
+        return FockVector._trusted(acc)
 
     def scaled(self, c) -> "FockVector":
         f = as_fraction(c)
@@ -223,7 +231,7 @@ def apply(op: OperatorName, v: FockVector, rho: RhoMoments) -> FockVector:
                 acc[out] = acc.get(out, _ZERO) + cw
                 if not acc[out]:
                     del acc[out]
-    return FockVector(acc)
+    return FockVector._trusted(acc)
 
 
 def inner_product(u: FockVector, v: FockVector, rho: RhoMoments) -> Fraction:
@@ -246,33 +254,51 @@ def inner_product(u: FockVector, v: FockVector, rho: RhoMoments) -> Fraction:
     return total
 
 
-def _vacuum_moment(ops: Sequence[OperatorName], n: int, rho: RhoMoments) -> Fraction:
-    state = FockVector.vacuum()
-    for _ in range(n):
+def _vacuum_moments(ops: Sequence[OperatorName], order: int,
+                    rho: RhoMoments) -> list[Fraction]:
+    """<(sum of ops)^j Omega, Omega> for j = 1..order from one walk.
+
+    Every operator changes the tensor length by at most one and only
+    length-1 tensors pair with the vacuum, so a tensor longer than the
+    steps still to come plus one is dropped.
+    """
+    if order < 1:
+        raise DomainError(f"order must be positive, got {order}")
+    if rho.max_order < order + 1:
+        raise TruncationError(
+            f"model order {order} needs moments to order {order + 1}, have {rho.max_order}"
+        )
+    vacuum = FockVector.vacuum()
+    state = vacuum
+    moments = []
+    for j in range(1, order + 1):
         out = FockVector.zero()
         for op in ops:
             out = out + apply(op, state, rho)
-        state = out
-    return inner_product(state, FockVector.vacuum(), rho)
+        reach = order - j + 1
+        state = FockVector._trusted({t: c for t, c in out.terms.items() if len(t) <= reach})
+        moments.append(inner_product(state, vacuum, rho))
+    return moments
 
 
 def model_cumulant_parts(n: int, rho: RhoMoments) -> tuple[Fraction, Fraction]:
     """Vacuum moments of the n-th powers of the two operator sums."""
-    if n < 1:
-        raise DomainError(f"order must be positive, got {n}")
-    if rho.max_order < n + 1:
-        raise TruncationError(
-            f"model order {n} needs moments to order {n + 1}, have {rho.max_order}"
-        )
-    return _vacuum_moment(HAT_SUM, n, rho), _vacuum_moment(TILDE_SUM, n, rho)
+    return _vacuum_moments(HAT_SUM, n, rho)[-1], _vacuum_moments(TILDE_SUM, n, rho)[-1]
+
+
+def model_cumulants(order: int, rho: RhoMoments) -> list[Fraction]:
+    """kappa_1..kappa_order(x + i[x,s]), each realized as the sum of the
+    vacuum moments of the two operator sums, where kappa_m(x) = m_m(rho) and
+    s is standard semicircular.  Each sum is walked from the vacuum once and
+    read after every step.  Exact: a word of n operators from the vacuum
+    never exceeds tensor length n + 1."""
+    hat = _vacuum_moments(HAT_SUM, order, rho)
+    return [h + t for h, t in zip(hat, _vacuum_moments(TILDE_SUM, order, rho))]
 
 
 def model_cumulant(n: int, rho: RhoMoments) -> Fraction:
-    """kappa_n(x + i[x,s]) realized as the sum of the two vacuum moments,
-    where kappa_m(x) = m_m(rho) and s is standard semicircular.  Exact: a
-    word of n operators from the vacuum never exceeds tensor length n + 1."""
-    hat, tilde = model_cumulant_parts(n, rho)
-    return hat + tilde
+    """kappa_n(x + i[x,s]) alone; see :func:`model_cumulants`."""
+    return model_cumulants(n, rho)[-1]
 
 
 def _compositions(total: int, minima: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -288,6 +314,24 @@ def _compositions(total: int, minima: Sequence[int]) -> Iterator[tuple[int, ...]
             yield (head,) + rest
 
 
+def _composition_sum(n: int, minima: Sequence[int], kind: PartitionKind,
+                     moments: list[int], by_blocks: list[int]) -> None:
+    """Add to ``by_blocks[b]``, over compositions of n with the given part
+    minima and the partitions of the part indices of ``kind`` that have b
+    blocks, the products of ``moments`` at the summed part sizes of each
+    block.  The partitions are enumerated once, not once per composition."""
+    family = [[[j - 1 for j in b] for b in pi.blocks]
+              for pi in iter_partitions(len(minima), kind)]
+    for comp in _compositions(n, minima):
+        for blocks in family:
+            prod = 1
+            for block in blocks:
+                prod *= moments[sum(comp[j] for j in block)]
+                if not prod:
+                    break
+            by_blocks[len(blocks)] += prod
+
+
 def composition_formula_cumulant(n: int, rho: RhoMoments) -> Fraction:
     """The same quantity as :func:`model_cumulant`, by the closed sums over
     compositions of n.
@@ -297,41 +341,32 @@ def composition_formula_cumulant(n: int, rho: RhoMoments) -> Fraction:
     part indices joining first and last; the other over compositions with
     all parts at least 2, paired with all non-crossing partitions.  Each
     partition block contributes the moment of Y at the summed part sizes.
+    The products are taken over integers, one moment denominator per block.
     """
     if n < 1:
         raise DomainError(f"order must be positive, got {n}")
-    total = _ZERO
+    moments, den = over_common_denominator([rho.moment(j) for j in range(n + 1)])
+    by_blocks = [0] * (n + 1)
     for k in range(0, n // 2 + 1):
         minima = [1] + [2] * (k - 1) + [1] if k >= 1 else [1]
-        for comp in _compositions(n, minima):
-            for pi in iter_partitions(k + 1, PartitionKind.NC_IRREDUCIBLE):
-                prod = _ONE
-                for block in pi.blocks:
-                    m = rho.moment(sum(comp[j - 1] for j in block))
-                    if m == 0:
-                        prod = _ZERO
-                        break
-                    prod *= m
-                total += prod
+        _composition_sum(n, minima, PartitionKind.NC_IRREDUCIBLE, moments, by_blocks)
     for k in range(1, n // 2 + 1):
-        for comp in _compositions(n, [2] * k):
-            for pi in iter_partitions(k, PartitionKind.NC):
-                prod = _ONE
-                for block in pi.blocks:
-                    m = rho.moment(sum(comp[j - 1] for j in block))
-                    if m == 0:
-                        prod = _ZERO
-                        break
-                    prod *= m
-                total += prod
-    return total
+        _composition_sum(n, [2] * k, PartitionKind.NC, moments, by_blocks)
+    return sum((Fraction(v, den ** b) for b, v in enumerate(by_blocks) if v), _ZERO)
+
+
+# Exponents of the sampled tensors reach _SAMPLE_EXPONENT; one operator
+# raises an exponent by at most one (and reads a moment no higher), and the
+# inner product pairs it with an unraised exponent of the other sample.
+_SAMPLE_EXPONENT = 3
+ADJOINT_MOMENT_ORDER = 2 * _SAMPLE_EXPONENT + 1
 
 
 def _random_vector(rng: random.Random) -> FockVector:
     terms = []
     for _ in range(rng.randint(1, 2)):
         length = rng.randint(1, 5)
-        tensor = tuple(rng.randint(0, 3) for _ in range(length))
+        tensor = tuple(rng.randint(0, _SAMPLE_EXPONENT) for _ in range(length))
         coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         terms.append((tensor, coeff))
     return FockVector(terms)
@@ -342,10 +377,13 @@ def verify_adjointness(pairs: Sequence[tuple[OperatorName, OperatorName]],
     """Check <A u, v> = <u, B v> exactly on seeded pseudo-random small states
     for each (A, B) pair; requires a genuine-measure moment sequence, since
     adjointness is only meaningful for a true bilinear form.  Needs moments
-    to order 8 (tensor exponents up to 3, one operator application, slotwise
-    pairing)."""
+    to order :data:`ADJOINT_MOMENT_ORDER`."""
     if not rho.genuine:
         raise DomainError("adjointness checks need a genuine-measure moment sequence")
+    if rho.max_order < ADJOINT_MOMENT_ORDER:
+        raise TruncationError(
+            f"adjointness samples need moments to order {ADJOINT_MOMENT_ORDER},"
+            f" have {rho.max_order}")
     rng = random.Random(seed)
     for _ in range(samples):
         u = _random_vector(rng)

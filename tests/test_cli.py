@@ -191,6 +191,32 @@ class TestOutputContracts:
         _, out2, _ = run_main(args + ["--jobs", "3"], capsys)
         assert out1 == out2
 
+    @pytest.mark.parametrize("args", [
+        ["verify-fock", "--rho", "atomic(1/3:-1,2/3:2)", "--max-order", "7"],
+        ["verify-closed-form", "--x", "atomic(1/4:-2,1/2:1/2,1/4:3)", "--max-order", "7"],
+    ], ids=["verify-fock", "verify-closed-form"])
+    def test_fanned_out_commands_identical(self, capsys, args):
+        code1, out1, _ = run_main(args + ["--jobs", "1"], capsys)
+        code2, out2, _ = run_main(args + ["--jobs", "2"], capsys)
+        assert code1 == code2 == 0
+        assert out1 == out2
+
+    def test_sequence_oracles_run_once_per_command(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "cumulant_sequence_of", counted(cli.cumulant_sequence_of))
+        monkeypatch.setattr(cli, "model_cumulants", counted(cli.model_cumulants))
+        assert main(["verify-closed-form", "--x", "free-poisson(2)", "--max-order", "6"]) == 0
+        assert main(["verify-fock", "--rho", "atomic(1/2:-1,1/2:1)", "--max-order", "6"]) == 0
+        capsys.readouterr()
+        assert calls == ["cumulant_sequence_of", "model_cumulants"]
+
 
 class TestJobs:
     def test_pool_size_is_bounded_by_jobs_cpus_and_items(self):
@@ -280,6 +306,29 @@ class TestExitCodes:
             ["verify-additivity", "--x", "free-poisson(1)", "--max-order", "9"], capsys)
         assert code == 2
         assert "FREECOMMUTANT_MAX_ORDER" in err
+
+    def test_cumulants_order_above_cap_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.delenv("FREECOMMUTANT_MAX_ORDER", raising=False)
+        code, out, err = run_main(
+            ["cumulants", "--x", "free-poisson(1)", "--max-order", "200"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "FREECOMMUTANT_MAX_ORDER" in err and "Traceback" not in err
+
+    def test_fid_check_rho_order_above_cap_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.delenv("FREECOMMUTANT_MAX_ORDER", raising=False)
+        code, out, err = run_main(["fid-check", "--rho", "atomic(1:1)", "--size", "5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "FREECOMMUTANT_MAX_ORDER" in err and "--size" in err
+        assert "order_cap" not in err and "Traceback" not in err
+
+    def test_fid_check_sequence_alone_is_uncapped(self, capsys, monkeypatch):
+        monkeypatch.delenv("FREECOMMUTANT_MAX_ORDER", raising=False)
+        code, out, _ = run_main(
+            ["fid-check", "--sequence", "cumulants[0,1]", "--size", "5"], capsys)
+        assert code == 0
+        assert json.loads(out)["entries"][0]["order"] == 10
 
     def test_env_override_raises_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("FREECOMMUTANT_MAX_ORDER", "10")

@@ -19,6 +19,7 @@ from freecommutant.cumulants import (
     kappa_block,
     kappa_pi,
     moments_from_cumulants,
+    over_common_denominator,
     polynomial_moments,
 )
 from freecommutant.errors import (
@@ -28,7 +29,7 @@ from freecommutant.errors import (
     SizeLimitError,
     TruncationError,
 )
-from freecommutant.partitions import Partition
+from freecommutant.partitions import Partition, PartitionKind, iter_partitions
 
 STD_S = CumulantSequence.semicircular(1, 10)
 FP1 = CumulantSequence.free_poisson(1, 10)
@@ -125,6 +126,74 @@ class TestMomentCumulantTransforms:
         seq = GENERIC_X
         m = moments_from_cumulants(seq, 10)
         assert cumulants_from_moments(m, 10) == seq
+
+
+NC_BLOCK_SIZES = {n: [[len(b) for b in pi.blocks] for pi in iter_partitions(n, PartitionKind.NC)]
+                  for n in range(1, 10)}
+
+# atomic(1/4:-1/2, 1/2:1, 1/4:3); kappa_29 and kappa_30 were solved order by
+# order from C(zM(z)) = M(z) with plain series products, a route that was
+# checked against the sum over NC(n) of block products for n <= 9.
+ATOMS = ((Fraction(1, 4), Fraction(-1, 2)), (Fraction(1, 2), 1), (Fraction(1, 4), 3))
+KAPPA_29 = Fraction(-1802663324441293599633495530240739, 19342813113834066795298816)
+KAPPA_30 = Fraction(-10463371087440888482244612134271105, 154742504910672534362390528)
+
+
+def atomic_moments(order):
+    return [sum((w * Fraction(a) ** n for w, a in ATOMS), Fraction(0)) for n in range(order + 1)]
+
+
+def series_mul(a, b, order):
+    out = [Fraction(0)] * (order + 1)
+    for i, x in enumerate(a[:order + 1]):
+        if x:
+            for j, y in enumerate(b[:order + 1 - i]):
+                out[i + j] += x * y
+    return out
+
+
+class TestTransformsPastThePartitionSums:
+    """The power-table recursion against routes that share none of its
+    code: the sum over NC(n), the R-transform identity, pinned values."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.one_of(st.just(Fraction(0)), rationals), min_size=1, max_size=9))
+    def test_moments_are_sums_over_noncrossing_partitions(self, kappas):
+        m = moments_from_cumulants(CumulantSequence(kappas), len(kappas))
+        for n in range(1, len(kappas) + 1):
+            direct = Fraction(0)
+            for sizes in NC_BLOCK_SIZES[n]:
+                prod = Fraction(1)
+                for size in sizes:
+                    prod *= kappas[size - 1]
+                direct += prod
+            assert m.moment(n) == direct
+
+    def test_round_trip_to_order_forty(self):
+        seq = CumulantSequence([Fraction((-1) ** k * k, k % 5 + 1) if k % 3 else 0
+                                for k in range(1, 41)])
+        assert cumulants_from_moments(moments_from_cumulants(seq, 40), 40) == seq
+
+    def test_order_thirty_atomic_law(self):
+        m = atomic_moments(30)
+        kappas = cumulants_from_moments(MomentSequence(m), 30)
+        assert kappas.kappa(29) == KAPPA_29
+        assert kappas.kappa(30) == KAPPA_30
+        assert list(moments_from_cumulants(kappas, 30).values) == m
+        # C(zM(z)) = M(z) up to z^30, by Horner in w = zM(z)
+        w = [Fraction(0)] + m[:30]
+        composed = [Fraction(0)] * 31
+        for k in range(30, 0, -1):
+            composed[0] += kappas.kappa(k)
+            composed = series_mul(composed, w, 30)
+        composed[0] += 1
+        assert composed == m
+
+    @given(st.lists(rationals, max_size=8))
+    def test_common_denominator(self, values):
+        nums, den = over_common_denominator(values)
+        assert [Fraction(v, den) for v in nums] == values
+        assert all(den % v.denominator == 0 for v in values)
 
 
 class TestKappaBlock:

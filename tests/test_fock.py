@@ -7,6 +7,7 @@ from freecommutant.commutator import closed_form_cumulant, expansion_cumulant
 from freecommutant.errors import DomainError, TruncationError
 from freecommutant.fid import compound_poisson_from_rho
 from freecommutant.fock import (
+    ADJOINT_MOMENT_ORDER,
     ADJOINT_PAIRS,
     FockVector,
     OperatorName,
@@ -16,6 +17,7 @@ from freecommutant.fock import (
     inner_product,
     model_cumulant,
     model_cumulant_parts,
+    model_cumulants,
     verify_adjointness,
 )
 
@@ -196,7 +198,48 @@ class TestIdentityChain:
             assert model == comp == closed == oracle
 
 
+class TestModelSequencePastOrderTwelve:
+    """One walk per operator sum, read after every step, against the two
+    partition routes at every order."""
+
+    @pytest.mark.parametrize("atoms", [
+        [(Fraction(1, 3), -1), (Fraction(2, 3), 2)],
+        [(Fraction(3, 4), Fraction(-1, 2)), (Fraction(1, 4), Fraction(3, 2))],
+        [(Fraction(1, 4), -2), (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 4), 3)],
+        [(Fraction(1, 6), -1), (Fraction(1, 3), 1), (Fraction(1, 2), 2)],
+    ], ids=["two-atoms", "two-fractional-atoms", "three-atoms", "three-integer-atoms"])
+    def test_every_order_through_fourteen(self, atoms):
+        rho = RhoMoments.from_atoms(atoms, 15)
+        dist_x = compound_poisson_from_rho(rho, 14)
+        models = model_cumulants(14, rho)
+        assert len(models) == 14
+        for n, model in enumerate(models, start=1):
+            comp = composition_formula_cumulant(n, rho)
+            assert model == comp == closed_form_cumulant(n, dist_x)
+
+    def test_prefix_and_single_order_agree(self):
+        models = model_cumulants(9, SYM_BERN)
+        assert model_cumulants(5, SYM_BERN) == models[:5]
+        assert [model_cumulant(n, SYM_BERN) for n in range(1, 10)] == models
+        assert [sum(model_cumulant_parts(n, SYM_BERN)) for n in range(1, 10)] == models
+
+    def test_needs_moments_past_the_order(self):
+        with pytest.raises(TruncationError):
+            model_cumulants(12, SYM_BERN)
+        with pytest.raises(DomainError):
+            model_cumulants(0, SYM_BERN)
+
+
 class TestAdjointness:
+    def test_moment_order_is_enough_and_enforced(self):
+        for atoms in ([(1, 1)], [(Fraction(1, 2), -1), (Fraction(1, 2), 2)]):
+            rho = RhoMoments.from_atoms(atoms, ADJOINT_MOMENT_ORDER)
+            for seed in range(20):
+                assert verify_adjointness(ADJOINT_PAIRS, 20, rho, seed)
+            short = RhoMoments.from_atoms(atoms, ADJOINT_MOMENT_ORDER - 1)
+            with pytest.raises(TruncationError):
+                verify_adjointness(ADJOINT_PAIRS, 1, short, seed=0)
+
     def test_spec_pairs_pass(self):
         assert verify_adjointness([(OperatorName.XSHAT, OperatorName.SXHAT)], 50, DELTA1, seed=3)
         assert verify_adjointness([(OperatorName.XHAT, OperatorName.XHAT)], 50, DELTA1, seed=3)
