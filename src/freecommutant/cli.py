@@ -14,7 +14,6 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from multiprocessing import get_context
 
 from .commutator import (
     DistributionPair,
@@ -68,11 +67,8 @@ class DistributionSpec:
         if self.kind == "free-poisson":
             return CumulantSequence.free_poisson(self.numbers[0], order)
         if self.kind == "atomic":
-            moments = [Fraction(1)] + [
-                sum((w * a ** k for w, a in self.atoms), Fraction(0))
-                for k in range(1, order + 1)
-            ]
-            return cumulants_from_moments(MomentSequence(moments), order)
+            moments = MomentSequence(RhoMoments.from_atoms(self.atoms, order).values)
+            return cumulants_from_moments(moments, order)
         if self.kind == "cumulants":
             padded = list(self.numbers[:order])
             padded += [Fraction(0)] * (order - len(padded))
@@ -156,8 +152,8 @@ def _perturb(value: Fraction) -> Fraction:
 
 
 def _positive_int(text: str) -> int:
-    """Type of ``--jobs``, ``--max-order`` and ``--size``: an integer of at
-    least 1, so that no verdict is taken over an empty range."""
+    """Type of ``--max-order`` and ``--size``: an integer of at least 1, so
+    that no verdict is taken over an empty range."""
     try:
         value = int(text)
     except ValueError:
@@ -194,8 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if order is not None:
             p.add_argument("--max-order", type=_positive_int, default=order)
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--jobs", type=_positive_int, default=1)
-        p.add_argument("--seed", type=int, default=0)
 
     common(sub.add_parser("verify-additivity",
                           help="kappa_n(s+i[s,x]) vs kappa_n(s)+kappa_n(i[s,x])"),
@@ -206,23 +200,21 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("verify-closed-form",
                           help="closed form for kappa_n(x+i[x,s]) vs full expansion"),
            x=True, order=6)
-    common(sub.add_parser("verify-fock",
-                          help="operator model vs composition sums vs closed form"),
-           rho=True, order=6)
+    fock = sub.add_parser("verify-fock",
+                          help="operator model vs composition sums vs closed form")
+    common(fock, rho=True, order=6)
+    fock.add_argument("--seed", type=int, default=0,
+                      help="drives the sampled adjointness checks")
     fid = sub.add_parser("fid-check", help="truncated Hankel positivity witnesses")
     fid.add_argument("--rho", help="driving measure for x (atomic or rho-moments)")
     fid.add_argument("--sequence", help="literal cumulants[...] to check directly")
     fid.add_argument("--size", type=_positive_int, default=3)
     fid.add_argument("--format", choices=("json", "table"), default="json")
-    fid.add_argument("--jobs", type=_positive_int, default=1)
-    fid.add_argument("--seed", type=int, default=0)
     parts = sub.add_parser("partitions", help="enumerate a partition family")
     parts.add_argument("--n", type=int, required=True)
     parts.add_argument("--kind", required=True,
                        choices=[k.value for k in PartitionKind])
     parts.add_argument("--format", choices=("json", "table"), default="json")
-    parts.add_argument("--jobs", type=_positive_int, default=1)
-    parts.add_argument("--seed", type=int, default=0)
     common(sub.add_parser("cumulants", help="cumulant and moment table of a spec"),
            x=True, order=8)
     return parser
@@ -252,30 +244,6 @@ def _pair_from_args(args, order: int) -> DistributionPair:
         spec.cumulants(max(order, 2)),
         max_order=order,
     )
-
-
-def _closed_form_order(payload):
-    dist_x, n = payload
-    return closed_form_cumulant(n, dist_x)
-
-
-def _fock_order(payload):
-    rho, dist_x, n = payload
-    return composition_formula_cumulant(n, rho), closed_form_cumulant(n, dist_x)
-
-
-def _pool_size(jobs: int, items: int, cpus: int) -> int:
-    """Worker processes for a map: never more than the jobs asked for, the
-    CPUs present or the items to map."""
-    return min(jobs, cpus, items)
-
-
-def _pmap(fn, items, jobs):
-    size = _pool_size(jobs, len(items), os.cpu_count() or 1)
-    if size <= 1:
-        return [fn(it) for it in items]
-    with get_context("fork").Pool(size) as pool:
-        return pool.map(fn, items)
 
 
 def _cmd_verify_additivity(args) -> tuple[dict, bool]:
@@ -319,7 +287,7 @@ def _cmd_cancellation(args) -> tuple[dict, bool]:
     if order < 2:
         raise FreeCommutantError("cancellation sums start at order 2; pass --max-order >= 2")
     pair = _pair_from_args(args, order)
-    cache: dict = {}  # t -> cumulant sequence of s + t(sx - xs), shared by every cell
+    cache: dict = {}  # n -> coefficients of kappa_n(s + t(sx - xs)), shared by every cell
     entries = []
     for n in range(2, order + 1):
         for k in range(1, n):
@@ -342,12 +310,11 @@ def _cmd_verify_closed_form(args) -> tuple[dict, bool]:
     order = _order_or_die(args.max_order)
     spec = parse_spec(args.x)
     dist_x = spec.cumulants(max(order, 2))
-    closed_forms = _pmap(_closed_form_order,
-                         [(dist_x, n) for n in range(1, order + 1)], args.jobs)
     pair = DistributionPair.standard(dist_x, 1, max_order=max(order, 2))
     oracles = cumulant_sequence_of(perturbed_partner(), pair, order).values
     entries = []
-    for n, closed, oracle in zip(range(1, order + 1), closed_forms, oracles):
+    for n, oracle in zip(range(1, order + 1), oracles):
+        closed = closed_form_cumulant(n, dist_x)
         if n == 1:
             closed = _perturb(closed)
         entries.append({
@@ -374,10 +341,9 @@ def _cmd_verify_fock(args) -> tuple[dict, bool]:
                    else order + 1)
     dist_x = compound_poisson_from_rho(rho, order)
     models = model_cumulants(order, rho)
-    results = _pmap(_fock_order,
-                    [(rho, dist_x, n) for n in range(1, order + 1)], args.jobs)
     entries = []
-    for n, model, (comp, closed) in zip(range(1, order + 1), models, results):
+    for n, model in zip(range(1, order + 1), models):
+        comp, closed = composition_formula_cumulant(n, rho), closed_form_cumulant(n, dist_x)
         if n == 1:
             model = _perturb(model)
         entries.append({

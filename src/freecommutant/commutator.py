@@ -4,11 +4,13 @@ free partner.
 Provides the cumulant sequence of any polynomial in s and x, inverted
 from its moments in the canonical Fock model; on that route, the
 additivity verdicts comparing kappa_n(s + i[s,x]) against kappa_n(s) +
-kappa_n(i[s,x]), the signed double sums whose vanishing is equivalent to
-the additivity (read off kappa_n(s + t(sx - xs)) as a polynomial in t), and
-kappa_n(x + i[x,s]) as the independent oracle for its closed form, which is
-also here; and, on the partition walk of :mod:`.cumulants`, the
-fourth-order witness showing s and i[s,x] are nevertheless not free.
+kappa_n(i[s,x]) and kappa_n(x + i[x,s]) as the independent oracle for its
+closed form, which is also here.  The signed double sums whose vanishing is
+equivalent to the additivity are the coefficients of kappa_n(s + t(sx - xs))
+in t, from one t-graded pass of the same model and the moment-cumulant
+recursion over polynomials in t.  On the partition walk of
+:mod:`.cumulants`: the fourth-order witness showing s and i[s,x] are
+nevertheless not free.
 """
 
 from __future__ import annotations
@@ -25,12 +27,13 @@ from .cumulants import (
     cumulant_of_polynomials,
     cumulants_from_moments,
     format_rational,
+    graded_moments,
     over_common_denominator,
     polynomial_moments,
     real_cumulant,
     resolve_order_cap,
 )
-from .errors import DomainError, SizeLimitError, TruncationError
+from .errors import DomainError, EngineConsistencyError, SizeLimitError, TruncationError
 from .partitions import PartitionKind, iter_partitions
 
 I_S_X = "i[s,x]"
@@ -162,36 +165,57 @@ def freeness_witness(pair: DistributionPair) -> Fraction:
     return real_cumulant(value, self_adjoint=True)
 
 
-def _coefficients_from_values(values: list[Fraction]) -> list[Fraction]:
-    """Coefficients c_0..c_d of the polynomial of degree <= d that takes
-    ``values[t]`` at t = 0..d: Newton forward differences, with each
-    binomial C(t, j) expanded to monomials."""
-    coeffs = [Fraction(0)] * len(values)
-    diffs = list(values)
-    binomial = [Fraction(1)]  # C(t, j) by powers of t
-    for j in range(len(values)):
-        for i, b in enumerate(binomial):
-            coeffs[i] += diffs[0] * b
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        # C(t, j + 1) = C(t, j) (t - j) / (j + 1)
-        binomial = [(lo - j * hi) / (j + 1) for lo, hi in zip([0] + binomial, binomial + [0])]
-    return coeffs
+def _add_product(acc: list[Fraction], a: list[Fraction], b: list[Fraction]) -> None:
+    """acc += a * b for polynomials in t given by their coefficient lists."""
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                if v:
+                    acc[i + j] += u * v
+
+
+def _cumulants_in_t(moments: list[list[Fraction]], order: int) -> list[list[Fraction]]:
+    """kappa_1(t)..kappa_order(t) as coefficient lists, from moments m_j(t)
+    of degree <= j in t: the recursion of :func:`cumulants_from_moments`,
+    kappa_n = m_n - sum_(k<n) kappa_k [z^(n-k)] M(z)^k, over polynomials in
+    t.  The table entry [z^j] M(z)^k has degree <= j, so kappa_n has
+    degree <= n."""
+    powers: list[list[list[Fraction]]] = [[[Fraction(1)]]]
+    for n in range(1, order + 1):
+        powers[0].append([])
+        for k in range(1, n):
+            j = n - k
+            entry = [Fraction(0)] * (j + 1)
+            for t in range(j + 1):
+                _add_product(entry, moments[t], powers[k - 1][j - t])
+            powers[k].append(entry)
+        powers.append([[Fraction(1)]])
+    kappas: list[list[Fraction]] = []
+    for n in range(1, order + 1):
+        value = list(moments[n])
+        for k in range(1, n):
+            _add_product(value, [-c for c in kappas[k - 1]], powers[k][n - k])
+        kappas.append(value)
+    return kappas
 
 
 def _cancellation_coefficients(n: int, pair: DistributionPair, order: int,
                                cache: dict) -> list[Fraction]:
-    """Coefficients of t^0..t^n in kappa_n(s + t(sx - xs)), from its values
-    at t = 0..n; ``cache`` maps t to the cumulant sequence of s + t(sx - xs)
-    to ``order``."""
-    values = []
-    for t in range(n + 1):
-        seq = cache.get(t)
-        if seq is None or seq.max_order < n:
-            p = Polynomial([(_S_WORD, GR_ONE), (_SX, GaussianRational.of(t)),
-                            (_XS, GaussianRational.of(-t))])
-            seq = cache[t] = cumulant_sequence_of(p, pair, order, order_cap=order)
-        values.append(seq.kappa(n))
-    return _coefficients_from_values(values)
+    """Coefficients of t^0..t^n in kappa_n(s + t(sx - xs)).  ``cache`` maps
+    each n to that list; a miss fills it for every order up to ``order``
+    from one t-graded pass of the canonical Fock model
+    (:func:`graded_moments`)."""
+    coeffs = cache.get(n)
+    if coeffs is None:
+        moments = graded_moments(
+            [letter_polynomial(_S_WORD), Polynomial([(_SX, GR_ONE), (_XS, -GR_ONE)])],
+            pair.dist_s, pair.dist_x, order)
+        if any(c.im for m in moments for c in m):
+            raise EngineConsistencyError("real input produced an imaginary moment part")
+        kappas = _cumulants_in_t([[c.re for c in m] for m in moments], order)
+        cache.update(enumerate(kappas, start=1))
+        coeffs = cache[n]
+    return coeffs
 
 
 def cancellation_sum(n: int, k: int, pair: DistributionPair,
@@ -201,8 +225,9 @@ def cancellation_sum(n: int, k: int, pair: DistributionPair,
     (-1)^|D| kappa_n(sx on B\\D, xs on D, s elsewhere); identically zero for
     semicircular s, which is exactly what makes the additivity work.  By
     multilinearity it is the t^k coefficient of kappa_n(s + t(sx - xs)).
-    ``cache`` (caller-owned, one pair) maps t to the cumulant sequence of
-    s + t(sx - xs) to order max(n, pair.max_order), shared by every (n, k)."""
+    ``cache`` (caller-owned, one pair) maps each order to its coefficient
+    list; the first call fills it to max(n, min(pair.max_order, cap)), so
+    every later (n, k) up to there is a lookup."""
     if not 1 <= k < n:
         raise DomainError(f"need 1 <= k < n, got k={k}, n={n}")
     cap = resolve_order_cap(order_cap)

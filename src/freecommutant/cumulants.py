@@ -7,7 +7,8 @@ join with the word-grouping interval partition is full — the standard
 products-as-entries evaluation — with a pruned fast path and a deliberately
 naive unpruned oracle path.  Moments of a whole polynomial come instead from
 Voiculescu's canonical model on the full Fock space over {s, x}, which needs
-neither the multilinear expansion nor any partition enumeration.
+neither the multilinear expansion nor any partition enumeration; one pass
+of it also gives the moments of p_0 + t p_1 + ... exactly as polynomials in t.
 """
 
 from __future__ import annotations
@@ -682,66 +683,93 @@ def _apply_letter(state: dict[str, tuple[int, int]], letter: str, kappas: list[i
     return out
 
 
-def polynomial_moments(p: Polynomial, dist_s: CumulantSequence, dist_x: CumulantSequence,
-                       order: int) -> MomentSequence:
-    """Moments m_0..m_order of ``p`` with s and x free, as vacuum
-    coefficients of p^j applied to the vacuum of the full Fock space over
-    {s, x}, where each letter acts as l* + sum_k kappa_{k+1} l^k
+def graded_moments(parts: Sequence[Polynomial], dist_s: CumulantSequence,
+                   dist_x: CumulantSequence, order: int) -> list[list[GaussianRational]]:
+    """Moments m_0(t)..m_order(t) of p(t) = sum_g t^g parts[g] with s and x
+    free, each as its exact coefficients of t^0..t^(j * (len(parts) - 1)):
+    the vacuum coefficients of p(t)^j applied to the vacuum of the full Fock
+    space over {s, x}, where each letter acts as l* + sum_k kappa_{k+1} l^k
     (Voiculescu's canonical model of an R-transform).
 
-    Words are applied letter by letter, right to left; a word that holds
-    more copies of a letter than the applications of that letter still to
-    come can never return to the vacuum and is dropped.  Cumulants are
-    therefore needed up to (most copies of the letter in one term) * order.
-    Arithmetic is over integers with one running denominator.  A non-real
-    moment is an engine bug for self-adjoint ``p`` and a domain error
-    otherwise.
+    The state is one dict of words per power of t; a term of grade g moves
+    what it produces g powers up.  Words are applied letter by letter,
+    right to left; a word that holds more copies of a letter than the
+    applications of that letter still to come can never return to the
+    vacuum and is dropped.  Cumulants are therefore needed up to (most
+    copies of the letter in one term) * order.  Arithmetic is over integers
+    with one running denominator.
     """
-    most = {a: max((w.count(a) for w, _c in p.terms), default=0) for a in _ALPHABET}
+    # the constant of each part is its empty word
+    terms = [(g, w, c) for g, part in enumerate(parts)
+             for w, c in part.terms + (("", part.constant),) if c]
+    most = {a: max((w.count(a) for _g, w, _c in terms), default=0) for a in _ALPHABET}
     kappas: dict[str, list[int]] = {}
     den: dict[str, int] = {}
     for a, dist in ((S, dist_s), (X, dist_x)):
         kappas[a], den[a] = over_common_denominator(_kappa_table(dist, most[a] * order, a))
-    terms = p.terms + (("", p.constant),)  # the constant is the empty word
-    # One application of p multiplies the running denominator by ``step``:
-    # the coefficients' common denominator times den^most for each letter;
-    # a term with fewer letters is lifted to it by its coefficient.
-    step = math.lcm(*(v.denominator for _w, c in terms for v in (c.re, c.im)))
+    # One application of p(t) multiplies the running denominator by
+    # ``step``: the coefficients' common denominator times den^most for each
+    # letter; a term with fewer letters is lifted to it by its coefficient.
+    step = math.lcm(*(v.denominator for _g, _w, c in terms for v in (c.re, c.im)))
     for a in _ALPHABET:
         step *= den[a] ** most[a]
+    # Each term as its letters right to left, each with the copies of it
+    # before it in the word (its budget less the later applications).
+    lifted_terms = []
+    for g, word, c in terms:
+        lifted = step
+        for a in _ALPHABET:
+            lifted //= den[a] ** word.count(a)
+        letters = tuple((word[i], word.count(word[i], 0, i))
+                        for i in range(len(word) - 1, -1, -1))
+        lifted_terms.append((g, letters, (c.re * lifted).numerator, (c.im * lifted).numerator))
+    top = len(parts) - 1
 
-    state: dict[str, tuple[int, int]] = {"": (1, 0)}
-    moments = [_ONE]
+    state: list[dict[str, tuple[int, int]]] = [{"": (1, 0)}]
+    moments = [[GR_ONE]]
     scale = 1
     for j in range(1, order + 1):
         later = order - j
-        nxt: dict[str, tuple[int, int]] = {}
-        for word, c in terms:
-            if not c:
-                continue
-            cur = state
-            for i in range(len(word) - 1, -1, -1):
-                a = word[i]
-                cur = _apply_letter(cur, a, kappas[a], den[a],
-                                    word.count(a, 0, i) + later * most[a])
-            lifted = step
-            for a in _ALPHABET:
-                lifted //= den[a] ** word.count(a)
-            cr, ci = (c.re * lifted).numerator, (c.im * lifted).numerator
-            for w, (re, im) in cur.items():
-                tr, ti = cr * re - ci * im, cr * im + ci * re
-                o = nxt.get(w)
-                nxt[w] = (tr, ti) if o is None else (o[0] + tr, o[1] + ti)
-        state = {w: v for w, v in nxt.items() if v[0] or v[1]}
+        nxt: list[dict[str, tuple[int, int]]] = [{} for _ in range(len(state) + top)]
+        # terms that end alike (s and xs, say) share those applications
+        applied: dict[tuple, dict[str, tuple[int, int]]] = {}
+        for g, letters, cr, ci in lifted_terms:
+            for d, cur in enumerate(state):
+                if not cur:
+                    continue
+                for i, (a, before) in enumerate(letters):
+                    key = (d, letters[:i + 1])
+                    done = applied.get(key)
+                    if done is None:
+                        done = applied[key] = _apply_letter(
+                            cur, a, kappas[a], den[a], before + later * most[a])
+                    cur = done
+                out = nxt[d + g]
+                for w, (re, im) in cur.items():
+                    tr, ti = cr * re - ci * im, cr * im + ci * re
+                    o = out.get(w)
+                    out[w] = (tr, ti) if o is None else (o[0] + tr, o[1] + ti)
+        state = [{w: v for w, v in sub.items() if v[0] or v[1]} for sub in nxt]
         scale *= step
-        re, im = state.get("", (0, 0))
-        if im:
-            part = Fraction(im, scale)
+        moments.append([GaussianRational(Fraction(re, scale), Fraction(im, scale))
+                        for re, im in (sub.get("", (0, 0)) for sub in state)])
+    return moments
+
+
+def polynomial_moments(p: Polynomial, dist_s: CumulantSequence, dist_x: CumulantSequence,
+                       order: int) -> MomentSequence:
+    """Moments m_0..m_order of ``p`` with s and x free: the grade-0 case of
+    :func:`graded_moments`.  A non-real moment is an engine bug for
+    self-adjoint ``p`` and a domain error otherwise.
+    """
+    moments = []
+    for j, (m,) in enumerate(graded_moments([p], dist_s, dist_x, order)):
+        if m.im:
             if p.is_self_adjoint:
                 raise EngineConsistencyError(
-                    f"self-adjoint input produced imaginary moment part {part} at m_{j}")
-            raise DomainError(f"moment m_{j} is not real: imaginary part {part}")
-        moments.append(Fraction(re, scale))
+                    f"self-adjoint input produced imaginary moment part {m.im} at m_{j}")
+            raise DomainError(f"moment m_{j} is not real: imaginary part {m.im}")
+        moments.append(m.re)
     return MomentSequence(moments)
 
 

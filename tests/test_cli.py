@@ -179,25 +179,13 @@ class TestOutputContracts:
         _, out2, _ = run_main(args, capsys)
         assert out1 == out2
 
-    def test_jobs_do_not_change_output(self, capsys):
-        args = ["verify-additivity", "--x", "free-poisson(1)", "--max-order", "4"]
-        _, out1, _ = run_main(args + ["--jobs", "1"], capsys)
-        _, out2, _ = run_main(args + ["--jobs", "2"], capsys)
-        assert out1 == out2
-
-    def test_cancellation_jobs_identical(self, capsys):
-        args = ["cancellation", "--x", "atomic(1/2:0,1/2:1)", "--max-order", "4"]
-        _, out1, _ = run_main(args + ["--jobs", "1"], capsys)
-        _, out2, _ = run_main(args + ["--jobs", "3"], capsys)
-        assert out1 == out2
-
     @pytest.mark.parametrize("args", [
         ["verify-fock", "--rho", "atomic(1/3:-1,2/3:2)", "--max-order", "7"],
         ["verify-closed-form", "--x", "atomic(1/4:-2,1/2:1/2,1/4:3)", "--max-order", "7"],
     ], ids=["verify-fock", "verify-closed-form"])
-    def test_fanned_out_commands_identical(self, capsys, args):
-        code1, out1, _ = run_main(args + ["--jobs", "1"], capsys)
-        code2, out2, _ = run_main(args + ["--jobs", "2"], capsys)
+    def test_two_runs_identical(self, capsys, args):
+        code1, out1, _ = run_main(args, capsys)
+        code2, out2, _ = run_main(args, capsys)
         assert code1 == code2 == 0
         assert out1 == out2
 
@@ -218,31 +206,31 @@ class TestOutputContracts:
         assert calls == ["cumulant_sequence_of", "model_cumulants"]
 
 
-class TestJobs:
-    def test_pool_size_is_bounded_by_jobs_cpus_and_items(self):
-        assert cli._pool_size(10**6, 10**6, 2) == 2
-        assert cli._pool_size(10**6, 3, 10**6) == 3
-        assert cli._pool_size(4, 10**6, 10**6) == 4
-        assert cli._pool_size(10**6, 0, 10**6) == 0
+_COMMANDS = {
+    "verify-additivity": ["--x", "free-poisson(1)", "--max-order", "2"],
+    "freeness-witness": ["--x", "free-poisson(1)"],
+    "cancellation": ["--x", "free-poisson(1)", "--max-order", "2"],
+    "verify-closed-form": ["--x", "free-poisson(1)", "--max-order", "2"],
+    "verify-fock": ["--rho", "atomic(1:1)", "--max-order", "2"],
+    "fid-check": ["--sequence", "cumulants[0,1]"],
+    "partitions": ["--n", "3", "--kind", "nc"],
+    "cumulants": ["--x", "free-poisson(1)", "--max-order", "2"],
+}
 
-    def test_one_item_never_starts_a_pool(self, monkeypatch):
-        def no_pool(*_args):
-            raise AssertionError("a pool was started")
-        monkeypatch.setattr(cli, "get_context", no_pool)
-        assert cli._pmap(str, [7], 10**6) == ["7"]
 
-    @pytest.mark.parametrize("value", ["0", "-3", "two"])
-    def test_jobs_below_one_is_usage_error(self, capsys, monkeypatch, value):
-        def no_pool(*_args):
-            raise AssertionError("a pool was started")
-        monkeypatch.setattr(cli, "get_context", no_pool)
-        for command in (["cancellation", "--x", "free-poisson(1)"],
-                        ["partitions", "--n", "3", "--kind", "nc"],
-                        ["fid-check", "--sequence", "cumulants[0,1]"]):
-            code, out, err = run_main(command + ["--jobs", value], capsys)
-            assert code == 2
-            assert out == ""
-            assert "--jobs" in err
+class TestRemovedFlags:
+    """``--jobs`` is gone from every command and ``--seed`` from all but
+    verify-fock, its only reader: either is an unknown argument."""
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command in _COMMANDS for flag in ("--jobs", "--seed")
+        if (command, flag) != ("verify-fock", "--seed")])
+    def test_exits_two_without_traceback(self, capsys, command, flag):
+        code, out, err = run_main([command] + _COMMANDS[command] + [flag, "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {flag} 2" in err
+        assert "Traceback" not in err
 
 
 class TestBadArguments:

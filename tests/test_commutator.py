@@ -10,7 +10,6 @@ from freecommutant.commutator import (
     AdditivityReport,
     DistributionPair,
     _cancellation_coefficients,
-    _coefficients_from_values,
     cancellation_sum,
     closed_form_cumulant,
     commutator_polynomial,
@@ -49,6 +48,33 @@ def atomic_third(order=8):
     moments = [1] + [Fraction(1, 3) * (-1) ** k + Fraction(2, 3) * 2 ** k
                      for k in range(1, order + 1)]
     return cumulants_from_moments(MomentSequence(moments), order)
+
+
+def _coefficients_from_values(values):
+    """Coefficients c_0..c_d of the polynomial of degree <= d that takes
+    ``values[t]`` at t = 0..d: Newton forward differences, with each
+    binomial C(t, j) expanded to monomials."""
+    coeffs = [Fraction(0)] * len(values)
+    diffs = list(values)
+    binomial = [Fraction(1)]  # C(t, j) by powers of t
+    for j in range(len(values)):
+        for i, b in enumerate(binomial):
+            coeffs[i] += diffs[0] * b
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        # C(t, j + 1) = C(t, j) (t - j) / (j + 1)
+        binomial = [(lo - j * hi) / (j + 1) for lo, hi in zip([0] + binomial, binomial + [0])]
+    return coeffs
+
+
+def per_t_coefficients(n, pair):
+    """The coefficients of t^0..t^n in kappa_n(s + t(sx - xs)) by one
+    cumulant sequence per t = 0..n, interpolated."""
+    values = []
+    for t in range(n + 1):
+        p = Polynomial([("s", GR_ONE), ("sx", GaussianRational.of(t)),
+                        ("xs", GaussianRational.of(-t))])
+        values.append(cumulant_sequence_of(p, pair, n, order_cap=n).kappa(n))
+    return _coefficients_from_values(values)
 
 
 def x_suite(order):
@@ -231,10 +257,14 @@ class TestCancellation:
     def test_cache_grows_past_the_pair_order(self):
         pair = DistributionPair(CumulantSequence.semicircular(1, 6), FP1, 3)
         cache = {}
+        assert not cancellation_sum(2, 1, pair, cache=cache)
+        assert sorted(cache) == [1, 2, 3]  # filled to the pair's order at once
         for n in range(2, 7):
             for k in range(1, n):
                 assert not cancellation_sum(n, k, pair, cache=cache)
-        assert all(seq.max_order == 6 for seq in cache.values())
+        assert sorted(cache) == [1, 2, 3, 4, 5, 6]
+        assert all(len(coeffs) == n + 1 for n, coeffs in cache.items())
+        assert cache[6] == per_t_coefficients(6, pair)
 
     def test_order_cap_applies_to_n(self):
         pair = DistributionPair.standard(CumulantSequence.free_poisson(1, 9), 1, 9)
@@ -244,6 +274,8 @@ class TestCancellation:
 
 
 class TestCoefficientsFromValues:
+    """The interpolation that :func:`per_t_coefficients` rests on."""
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=30),
                     min_size=1, max_size=13))
@@ -287,6 +319,26 @@ class TestCancellationAgainstTheWalk:
             cancellation_sum(3, 2, DistributionPair(self.S, self.X, 5))
 
 
+class TestCancellationAgainstPerT:
+    """The one t-graded pass against one cumulant sequence per value of t,
+    past the orders the walk reaches, with a non-semicircular s."""
+
+    S = CumulantSequence([Fraction(1, 3), 2, Fraction(-1, 2), 1, Fraction(3, 2), -1,
+                          Fraction(2, 7), 1])
+    X = CumulantSequence([Fraction(1, 2), Fraction(1, 4), 0, Fraction(-1, 16), 3, 0,
+                          Fraction(-5, 3), 2])
+
+    def test_coefficients_equal_per_t_values(self):
+        pair = DistributionPair(self.S, self.X, 8)
+        cache = {}
+        nonzero_even = 0
+        for n in range(1, 9):
+            coeffs = _cancellation_coefficients(n, pair, 8, cache)
+            assert coeffs == per_t_coefficients(n, pair), n
+            nonzero_even += sum(1 for k in range(2, n, 2) if coeffs[k])
+        assert nonzero_even >= 2
+
+
 class TestExpansionAgainstTheWalk:
     @pytest.mark.parametrize("s_var", [1, Fraction(1, 2)])
     def test_fock_route_equals_walk_through_six(self, s_var):
@@ -310,6 +362,15 @@ class TestPastTheWalkHorizon:
                 assert not cancellation_sum(n, k, pair, order_cap=10, cache=cache), (n, k)
         # the top coefficient is kappa_10(sx - xs), which does not vanish
         assert _cancellation_coefficients(10, pair, 10, cache)[10]
+
+    def test_cancellation_vanishes_through_order_12(self):
+        pair = DistributionPair.standard(CumulantSequence.free_poisson(1, 12), Fraction(1, 2), 12)
+        cache = {}
+        for n in range(2, 13):
+            for k in range(1, n):
+                assert not cancellation_sum(n, k, pair, order_cap=12, cache=cache), (n, k)
+        # the top coefficient is kappa_12(sx - xs), which does not vanish
+        assert _cancellation_coefficients(12, pair, 12, cache)[12]
 
     def test_closed_form_equals_expansion_nine_to_twelve(self):
         for dist_x in x_suite(12):

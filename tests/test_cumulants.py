@@ -16,6 +16,7 @@ from freecommutant.cumulants import (
     cumulant_of_polynomials,
     cumulant_of_word_products,
     cumulants_from_moments,
+    graded_moments,
     kappa_block,
     kappa_pi,
     moments_from_cumulants,
@@ -489,3 +490,35 @@ class TestPolynomialMoments:
         p = Polynomial.from_word("x", GR_I)  # m_1 = i kappa_1(x)
         with pytest.raises(DomainError):
             polynomial_moments(p, STD_S, FP1, 2)
+
+
+# Orders 3-6 with two Q(i) polynomials; orders 5 and 6 use words of at
+# most two letters, so one pass stays well under a second.
+order_and_two_polys = st.integers(3, 6).flatmap(lambda n: st.tuples(
+    st.just(n), *[hermitian_poly(12 // n) | any_poly(12 // n)] * 2))
+
+# most letters of one kind in a term (3) times the highest order for it (4)
+longer_kappas = st.lists(rationals, min_size=12, max_size=12)
+
+
+class TestGradedMoments:
+    """The t-graded pass against the grade-0 pass at fixed t."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(order_and_two_polys, longer_kappas, longer_kappas)
+    def test_evaluated_at_t_equals_moments_of_the_sum(self, order_polys, ks, kx):
+        order, p0, p1 = order_polys
+        dist_s, dist_x = CumulantSequence(ks), CumulantSequence(kx)
+        if dist_s.is_semicircular:
+            dist_s = CumulantSequence([1] + ks[1:])
+        graded = graded_moments([p0, p1], dist_s, dist_x, order)
+        assert [len(m) for m in graded] == [j + 1 for j in range(order + 1)]
+        for t in (0, 1, 2, -3):
+            at_t = [sum((c * t ** d for d, c in enumerate(m)), GR_ZERO) for m in graded]
+            p = p0 + p1.scaled(t)
+            try:
+                moments = polynomial_moments(p, dist_s, dist_x, order)
+            except DomainError:
+                assert any(m.im for m in at_t)
+            else:
+                assert at_t == [GaussianRational(m) for m in moments.values]
