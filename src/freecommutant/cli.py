@@ -18,7 +18,7 @@ from fractions import Fraction
 from .commutator import (
     DistributionPair,
     cancellation_sum,
-    closed_form_cumulant,
+    closed_form_cumulants,
     cumulant_sequence_of,
     freeness_witness,
     perturbed_partner,
@@ -41,7 +41,7 @@ from .fock import (
     ADJOINT_MOMENT_ORDER,
     ADJOINT_PAIRS,
     RhoMoments,
-    composition_formula_cumulant,
+    composition_formula_cumulants,
     model_cumulants,
     verify_adjointness,
 )
@@ -67,8 +67,7 @@ class DistributionSpec:
         if self.kind == "free-poisson":
             return CumulantSequence.free_poisson(self.numbers[0], order)
         if self.kind == "atomic":
-            moments = MomentSequence(RhoMoments.from_atoms(self.atoms, order).values)
-            return cumulants_from_moments(moments, order)
+            return cumulants_from_moments(MomentSequence(self.rho(order).values), order)
         if self.kind == "cumulants":
             padded = list(self.numbers[:order])
             padded += [Fraction(0)] * (order - len(padded))
@@ -313,8 +312,8 @@ def _cmd_verify_closed_form(args) -> tuple[dict, bool]:
     pair = DistributionPair.standard(dist_x, 1, max_order=max(order, 2))
     oracles = cumulant_sequence_of(perturbed_partner(), pair, order).values
     entries = []
-    for n, oracle in zip(range(1, order + 1), oracles):
-        closed = closed_form_cumulant(n, dist_x)
+    for n, oracle, closed in zip(range(1, order + 1), oracles,
+                                 closed_form_cumulants(order, dist_x)):
         if n == 1:
             closed = _perturb(closed)
         entries.append({
@@ -340,10 +339,10 @@ def _cmd_verify_fock(args) -> tuple[dict, bool]:
     rho = spec.rho(max(order + 1, ADJOINT_MOMENT_ORDER) if spec.kind == "atomic"
                    else order + 1)
     dist_x = compound_poisson_from_rho(rho, order)
-    models = model_cumulants(order, rho)
     entries = []
-    for n, model in zip(range(1, order + 1), models):
-        comp, closed = composition_formula_cumulant(n, rho), closed_form_cumulant(n, dist_x)
+    for n, model, comp, closed in zip(range(1, order + 1), model_cumulants(order, rho),
+                                      composition_formula_cumulants(order, rho),
+                                      closed_form_cumulants(order, dist_x)):
         if n == 1:
             model = _perturb(model)
         entries.append({
@@ -380,8 +379,7 @@ def _cmd_fid_check(args) -> tuple[dict, bool]:
         _order_or_die(order, "2 * --size")
         rho = parse_spec(args.rho).rho(order)
         dist_x = compound_poisson_from_rho(rho, order)
-        checks.append(("x+i[x,s]", CumulantSequence(
-            [closed_form_cumulant(n, dist_x) for n in range(1, order + 1)])))
+        checks.append(("x+i[x,s]", CumulantSequence(closed_form_cumulants(order, dist_x))))
         pair = DistributionPair.standard(dist_x, 1, max_order=order)
         checks.append(("s+i[s,x]",
                        cumulant_sequence_of(sum_with_commutator(), pair, order)))
@@ -425,7 +423,8 @@ def _cmd_cumulants(args) -> tuple[dict, bool]:
     order = _order_or_die(args.max_order)
     spec = parse_spec(args.x)
     seq = spec.cumulants(order)
-    moments = moments_from_cumulants(seq, order)
+    # an atomic spec has its moments already; the others only their cumulants
+    moments = spec.rho(order) if spec.kind == "atomic" else moments_from_cumulants(seq, order)
     payload = {
         "command": "cumulants",
         "x": args.x,

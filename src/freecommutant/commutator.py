@@ -5,16 +5,17 @@ Provides the cumulant sequence of any polynomial in s and x, inverted
 from its moments in the canonical Fock model; on that route, the
 additivity verdicts comparing kappa_n(s + i[s,x]) against kappa_n(s) +
 kappa_n(i[s,x]) and kappa_n(x + i[x,s]) as the independent oracle for its
-closed form, which is also here.  The signed double sums whose vanishing is
-equivalent to the additivity are the coefficients of kappa_n(s + t(sx - xs))
-in t, from one t-graded pass of the same model and the moment-cumulant
-recursion over polynomials in t.  On the partition walk of
-:mod:`.cumulants`: the fourth-order witness showing s and i[s,x] are
-nevertheless not free.
+closed form, which is also here, as a first-block recursion.  The signed
+double sums whose vanishing is equivalent to the additivity are the
+coefficients of kappa_n(s + t(sx - xs)) in t, from one t-graded pass of the
+same model and the moment-cumulant recursion over polynomials in t.  On the
+partition walk of :mod:`.cumulants`: the fourth-order witness showing s and
+i[s,x] are nevertheless not free.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,16 +26,16 @@ from .cumulants import (
     GaussianRational,
     Polynomial,
     cumulant_of_polynomials,
+    composition_series,
     cumulants_from_moments,
+    first_block_sum,
     format_rational,
     graded_moments,
-    over_common_denominator,
     polynomial_moments,
     real_cumulant,
     resolve_order_cap,
 )
 from .errors import DomainError, EngineConsistencyError, SizeLimitError, TruncationError
-from .partitions import PartitionKind, iter_partitions
 
 I_S_X = "i[s,x]"
 I_X_S = "i[x,s]"
@@ -226,8 +227,8 @@ def cancellation_sum(n: int, k: int, pair: DistributionPair,
     semicircular s, which is exactly what makes the additivity work.  By
     multilinearity it is the t^k coefficient of kappa_n(s + t(sx - xs)).
     ``cache`` (caller-owned, one pair) maps each order to its coefficient
-    list; the first call fills it to max(n, min(pair.max_order, cap)), so
-    every later (n, k) up to there is a lookup."""
+    list; a miss fills it in one graded pass, to min(pair.max_order, cap),
+    or past that as far as the cap and the cumulants of s and x allow."""
     if not 1 <= k < n:
         raise DomainError(f"need 1 <= k < n, got k={k}, n={n}")
     cap = resolve_order_cap(order_cap)
@@ -235,42 +236,32 @@ def cancellation_sum(n: int, k: int, pair: DistributionPair,
         raise SizeLimitError(f"order {n} exceeds the cap {cap} (override via order_cap)")
     if not pair.semicircular_hypothesis:
         raise DomainError("cancellation_sum requires a semicircular s")
-    order = max(n, min(pair.max_order, cap))
+    order = min(pair.max_order, cap)
+    if n > order:
+        order = max(n, min(pair.dist_s.max_order, pair.dist_x.max_order, cap))
     coeffs = _cancellation_coefficients(n, pair, order, cache if cache is not None else {})
     return GaussianRational(coeffs[k])
 
 
+def closed_form_cumulants(order: int, dist_x: CumulantSequence) -> list[Fraction]:
+    """kappa_1..kappa_order(x + i[x,s]) for standard semicircular s
+    (variance 1), by the combinatorial closed form: kappa_n(x) plus, over
+    the compositions of n into parts >= 2 and the non-crossing partitions of
+    their parts, the first part times the product over blocks of the x
+    cumulants at the summed part sizes.  That is a :func:`first_block_sum`
+    over the :func:`composition_series` of the x cumulants: over the
+    C(a-b-1, b-1) layouts of the first block, its first part sums to a/b
+    times their count.  O(order^3) for the whole sequence."""
+    kappas = [Fraction(0)] + [dist_x.kappa(k) for k in range(1, order + 1)]
+    _series, powers = composition_series(kappas, order)
+    return [kappas[n] + first_block_sum(
+        kappas, powers, n, lambda a, b: a * math.comb(a - b - 1, b - 1) // b)
+        for n in range(1, order + 1)]
+
+
 def closed_form_cumulant(n: int, dist_x: CumulantSequence) -> Fraction:
-    """kappa_n(x + i[x,s]) for standard semicircular s (variance 1), by the
-    combinatorial closed form: kappa_n(x) plus, over interval partitions of
-    {1..n} with all blocks of size >= 2 and over non-crossing partitions of
-    their block indices, the first-block size times the block-product of x
-    cumulants of the merged partition.  A merged block's size is the sum of
-    the sizes of the interval blocks it merges (as in
-    :func:`.partitions.compose_interval`); each NC(k) is enumerated once per
-    call, and the products are taken over integers, one cumulant
-    denominator per block."""
-    if n < 1:
-        raise DomainError(f"order must be positive, got {n}")
-    kappas, den = over_common_denominator(
-        [Fraction(0)] + [dist_x.kappa(k) for k in range(1, n + 1)])
-    by_blocks = [0] * (n + 1)
-    families: dict[int, list[tuple[tuple[int, ...], ...]]] = {}
-    for sigma in iter_partitions(n, PartitionKind.INTERVAL_MIN2):
-        sizes = [len(b) for b in sigma.blocks]
-        k = len(sizes)
-        family = families.get(k)
-        if family is None:
-            family = families[k] = [pi.blocks for pi in iter_partitions(k, PartitionKind.NC)]
-        for blocks in family:
-            prod = sizes[0]
-            for v in blocks:
-                prod *= kappas[sum(sizes[j - 1] for j in v)]
-                if not prod:
-                    break
-            by_blocks[len(blocks)] += prod
-    return dist_x.kappa(n) + sum(
-        (Fraction(v, den ** b) for b, v in enumerate(by_blocks) if v), Fraction(0))
+    """kappa_n(x + i[x,s]) alone; see :func:`closed_form_cumulants`."""
+    return closed_form_cumulants(n, dist_x)[-1]
 
 
 def expansion_cumulant(n: int, dist_x: CumulantSequence, s_variance=1,

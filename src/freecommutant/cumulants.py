@@ -18,7 +18,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DomainError,
@@ -275,6 +275,41 @@ def _extend_powers(powers: list[list[Fraction]], m: list[Fraction], n: int) -> N
                     total += mt * b
         powers[k].append(total)
     powers.append([_ONE])
+
+
+def composition_series(values: Sequence[Fraction], order: int
+                       ) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """F_0..F_order of F(z) = sum_n F_n z^n, and the table
+    powers[k][j] = [z^j] F(z)^k for k + j <= order.
+
+    F_0 = 1, and F_n sums, over the compositions of n into parts >= 2 and
+    the non-crossing partitions of their parts, the product over blocks of
+    ``values`` at the block's summed part size.  The block of the first part
+    has b parts of total a, in C(a-b-1, b-1) ways, and each gap after them
+    holds the same kind of configuration (Nica-Speicher, Lectures 10-11).
+    """
+    if order < 1:
+        raise DomainError(f"order must be positive, got {order}")
+    series = [_ONE]
+    powers: list[list[Fraction]] = [[_ONE]]
+    for n in range(1, order + 1):
+        series.append(first_block_sum(values, powers, n, lambda a, b: math.comb(a - b - 1, b - 1)))
+        _extend_powers(powers, series, n)
+    return series, powers
+
+
+def first_block_sum(values: Sequence[Fraction], powers: list[list[Fraction]], n: int,
+                    weight: Callable[[int, int], int]) -> Fraction:
+    """sum_(b>=1) sum_(a=2b..n) values[a] weight(a, b) [z^(n-a)] F^b from the
+    table of :func:`composition_series`: a first block of b parts of total a,
+    laid out in weight(a, b) ways, with F in its gaps; reads diagonals < n."""
+    total = _ZERO
+    for b in range(1, n // 2 + 1):
+        row = powers[b]
+        for a in range(2 * b, n + 1):
+            if values[a] != 0:
+                total += values[a] * weight(a, b) * row[n - a]
+    return total
 
 
 def moments_from_cumulants(seq: CumulantSequence, order: int) -> MomentSequence:

@@ -5,20 +5,21 @@ single random variable Y; slot j of a basis tensor carries Y^e for a stored
 exponent e (0 means the constant 1).  Six operators act by appending,
 multiplying into the last slot, or contracting against a moment of Y, split
 into two families whose vacuum moments add up to the cumulants of x + i[x,s]
-when the cumulants of x are the moments of the driving measure.
+when the cumulants of x are the moments of the driving measure; so do the
+paper's sums over compositions, computed here by a first-block recursion.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .cumulants import as_fraction, format_rational, over_common_denominator
+from .cumulants import as_fraction, composition_series, first_block_sum, format_rational
 from .errors import DomainError, TruncationError
-from .partitions import PartitionKind, iter_partitions
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -301,58 +302,28 @@ def model_cumulant(n: int, rho: RhoMoments) -> Fraction:
     return model_cumulants(n, rho)[-1]
 
 
-def _compositions(total: int, minima: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    if not minima:
-        if total == 0:
-            yield ()
-        return
-    head_min = minima[0]
-    tail = minima[1:]
-    tail_min = sum(tail)
-    for head in range(head_min, total - tail_min + 1):
-        for rest in _compositions(total - head, tail):
-            yield (head,) + rest
-
-
-def _composition_sum(n: int, minima: Sequence[int], kind: PartitionKind,
-                     moments: list[int], by_blocks: list[int]) -> None:
-    """Add to ``by_blocks[b]``, over compositions of n with the given part
-    minima and the partitions of the part indices of ``kind`` that have b
-    blocks, the products of ``moments`` at the summed part sizes of each
-    block.  The partitions are enumerated once, not once per composition."""
-    family = [[[j - 1 for j in b] for b in pi.blocks]
-              for pi in iter_partitions(len(minima), kind)]
-    for comp in _compositions(n, minima):
-        for blocks in family:
-            prod = 1
-            for block in blocks:
-                prod *= moments[sum(comp[j] for j in block)]
-                if not prod:
-                    break
-            by_blocks[len(blocks)] += prod
+def composition_formula_cumulants(order: int, rho: RhoMoments) -> list[Fraction]:
+    """The same sequence as :func:`model_cumulants`, by the closed sums over
+    compositions of n.  One family runs over compositions whose outer parts
+    may be single and inner parts are at least 2, paired with non-crossing
+    partitions of the part indices joining first and last; the other over
+    compositions with all parts at least 2, paired with all non-crossing
+    partitions.  Each partition block contributes the moment of Y at the
+    summed part sizes.  With G the :func:`composition_series` of the
+    moments, the second family is G_n; the first is m_n (one part) plus a
+    :func:`first_block_sum` over G: an outer block of c + 1 parts of total
+    a, laid out in C(a-c, c) ways, with G in its c inner gaps.  O(order^3)
+    for the whole sequence."""
+    moments = [rho.moment(j) for j in range(order + 1)]
+    series, powers = composition_series(moments, order)
+    return [moments[n] + series[n] + first_block_sum(
+        moments, powers, n, lambda a, c: math.comb(a - c, c))
+        for n in range(1, order + 1)]
 
 
 def composition_formula_cumulant(n: int, rho: RhoMoments) -> Fraction:
-    """The same quantity as :func:`model_cumulant`, by the closed sums over
-    compositions of n.
-
-    One family runs over compositions whose outer parts may be single and
-    inner parts are at least 2, paired with non-crossing partitions of the
-    part indices joining first and last; the other over compositions with
-    all parts at least 2, paired with all non-crossing partitions.  Each
-    partition block contributes the moment of Y at the summed part sizes.
-    The products are taken over integers, one moment denominator per block.
-    """
-    if n < 1:
-        raise DomainError(f"order must be positive, got {n}")
-    moments, den = over_common_denominator([rho.moment(j) for j in range(n + 1)])
-    by_blocks = [0] * (n + 1)
-    for k in range(0, n // 2 + 1):
-        minima = [1] + [2] * (k - 1) + [1] if k >= 1 else [1]
-        _composition_sum(n, minima, PartitionKind.NC_IRREDUCIBLE, moments, by_blocks)
-    for k in range(1, n // 2 + 1):
-        _composition_sum(n, [2] * k, PartitionKind.NC, moments, by_blocks)
-    return sum((Fraction(v, den ** b) for b, v in enumerate(by_blocks) if v), _ZERO)
+    """kappa_n(x + i[x,s]) alone; see :func:`composition_formula_cumulants`."""
+    return composition_formula_cumulants(n, rho)[-1]
 
 
 # Exponents of the sampled tensors reach _SAMPLE_EXPONENT; one operator

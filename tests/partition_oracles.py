@@ -1,0 +1,100 @@
+"""Enumerating oracles for the two partition sums of x + i[x,s].
+
+``closed_form_cumulants`` and ``composition_formula_cumulants`` compute these
+sums by first-block recursions; the functions here enumerate the partitions
+themselves, one order at a time, so the two routes share nothing but the
+moment and cumulant inputs.  The NC(k) families grow like the Catalan
+numbers: keep n at 14 or below.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterator, Sequence
+
+from freecommutant.cumulants import CumulantSequence, over_common_denominator
+from freecommutant.errors import DomainError
+from freecommutant.fock import RhoMoments
+from freecommutant.partitions import PartitionKind, iter_partitions
+
+
+def enumerated_closed_form(n: int, dist_x: CumulantSequence) -> Fraction:
+    """kappa_n(x + i[x,s]) for standard semicircular s: kappa_n(x) plus,
+    over interval partitions of {1..n} with all blocks of size >= 2 and over
+    non-crossing partitions of their block indices, the first-block size
+    times the block-product of x cumulants of the merged partition.  A merged
+    block's size is the sum of the sizes of the interval blocks it merges (as
+    in :func:`freecommutant.partitions.compose_interval`); each NC(k) is
+    enumerated once per call, and the products are taken over integers, one
+    cumulant denominator per block."""
+    if n < 1:
+        raise DomainError(f"order must be positive, got {n}")
+    kappas, den = over_common_denominator(
+        [Fraction(0)] + [dist_x.kappa(k) for k in range(1, n + 1)])
+    by_blocks = [0] * (n + 1)
+    families: dict[int, list[tuple[tuple[int, ...], ...]]] = {}
+    for sigma in iter_partitions(n, PartitionKind.INTERVAL_MIN2):
+        sizes = [len(b) for b in sigma.blocks]
+        k = len(sizes)
+        family = families.get(k)
+        if family is None:
+            family = families[k] = [pi.blocks for pi in iter_partitions(k, PartitionKind.NC)]
+        for blocks in family:
+            prod = sizes[0]
+            for v in blocks:
+                prod *= kappas[sum(sizes[j - 1] for j in v)]
+                if not prod:
+                    break
+            by_blocks[len(blocks)] += prod
+    return dist_x.kappa(n) + sum(
+        (Fraction(v, den ** b) for b, v in enumerate(by_blocks) if v), Fraction(0))
+
+
+def _compositions(total: int, minima: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    if not minima:
+        if total == 0:
+            yield ()
+        return
+    head_min = minima[0]
+    tail = minima[1:]
+    tail_min = sum(tail)
+    for head in range(head_min, total - tail_min + 1):
+        for rest in _compositions(total - head, tail):
+            yield (head,) + rest
+
+
+def _composition_sum(n: int, minima: Sequence[int], kind: PartitionKind,
+                     moments: list[int], by_blocks: list[int]) -> None:
+    """Add to ``by_blocks[b]``, over compositions of n with the given part
+    minima and the partitions of the part indices of ``kind`` that have b
+    blocks, the products of ``moments`` at the summed part sizes of each
+    block.  The partitions are enumerated once, not once per composition."""
+    family = [[[j - 1 for j in b] for b in pi.blocks]
+              for pi in iter_partitions(len(minima), kind)]
+    for comp in _compositions(n, minima):
+        for blocks in family:
+            prod = 1
+            for block in blocks:
+                prod *= moments[sum(comp[j] for j in block)]
+                if not prod:
+                    break
+            by_blocks[len(blocks)] += prod
+
+
+def enumerated_composition_formula(n: int, rho: RhoMoments) -> Fraction:
+    """kappa_n(x + i[x,s]) with kappa_m(x) = m_m(rho), by the sums over
+    compositions of n: compositions whose outer parts may be single and
+    inner parts are at least 2, paired with non-crossing partitions of the
+    part indices joining first and last, plus compositions with all parts at
+    least 2, paired with all non-crossing partitions.  Each block contributes
+    the moment of Y at the summed part sizes."""
+    if n < 1:
+        raise DomainError(f"order must be positive, got {n}")
+    moments, den = over_common_denominator([rho.moment(j) for j in range(n + 1)])
+    by_blocks = [0] * (n + 1)
+    for k in range(0, n // 2 + 1):
+        minima = [1] + [2] * (k - 1) + [1] if k >= 1 else [1]
+        _composition_sum(n, minima, PartitionKind.NC_IRREDUCIBLE, moments, by_blocks)
+    for k in range(1, n // 2 + 1):
+        _composition_sum(n, [2] * k, PartitionKind.NC, moments, by_blocks)
+    return sum((Fraction(v, den ** b) for b, v in enumerate(by_blocks) if v), Fraction(0))

@@ -11,7 +11,7 @@ from jsonschema import validate
 
 from freecommutant import cli
 from freecommutant.cli import main, parse_spec, run
-from freecommutant.cumulants import CumulantSequence
+from freecommutant.cumulants import CumulantSequence, moments_from_cumulants
 from freecommutant.errors import SpecSyntaxError
 
 SCHEMA = json.loads(
@@ -160,6 +160,17 @@ class TestCommands:
         validate(payload, SCHEMA)
         assert payload["moments"] == ["1", "1", "2", "5", "14"]
 
+    def test_cumulants_command_atomic_moments_match_its_cumulants(self, capsys):
+        # the atomic moments are reported as given, not rebuilt from the cumulants
+        code, out, _ = run_main(
+            ["cumulants", "--x", "atomic(1/3:-1,2/3:2)", "--max-order", "6"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        validate(payload, SCHEMA)
+        assert payload["moments"] == ["1", "1", "3", "5", "11", "21", "43"]
+        cumulants = CumulantSequence(Fraction(v) for v in payload["cumulants"])
+        assert moments_from_cumulants(cumulants, 6).to_json() == payload["moments"]
+
 
 class TestOutputContracts:
     def test_table_carries_same_rationals(self, capsys):
@@ -198,12 +209,25 @@ class TestOutputContracts:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(cli, "cumulant_sequence_of", counted(cli.cumulant_sequence_of))
-        monkeypatch.setattr(cli, "model_cumulants", counted(cli.model_cumulants))
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("a partition family was enumerated")
+
+        for name in ("cumulant_sequence_of", "model_cumulants",
+                     "composition_formula_cumulants", "closed_form_cumulants"):
+            monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("freecommutant") and hasattr(module, "iter_partitions"):
+                monkeypatch.setattr(module, "iter_partitions", no_enumeration)
         assert main(["verify-closed-form", "--x", "free-poisson(2)", "--max-order", "6"]) == 0
+        assert calls == ["cumulant_sequence_of", "closed_form_cumulants"]
+        calls.clear()
         assert main(["verify-fock", "--rho", "atomic(1/2:-1,1/2:1)", "--max-order", "6"]) == 0
+        assert calls == ["model_cumulants", "composition_formula_cumulants",
+                         "closed_form_cumulants"]
+        calls.clear()
+        assert main(["fid-check", "--rho", "atomic(1/2:-1,1/2:1)", "--size", "3"]) == 0
+        assert calls == ["closed_form_cumulants", "cumulant_sequence_of"]
         capsys.readouterr()
-        assert calls == ["cumulant_sequence_of", "model_cumulants"]
 
 
 _COMMANDS = {

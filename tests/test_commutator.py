@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freecommutant import commutator
 from freecommutant.commutator import (
     I_S_X,
     I_X_S,
@@ -32,6 +33,7 @@ from freecommutant.cumulants import (
     cumulant_of_polynomials,
     cumulant_of_word_products,
     cumulants_from_moments,
+    graded_moments,
     real_cumulant,
 )
 from freecommutant.errors import DomainError, SizeLimitError
@@ -254,7 +256,14 @@ class TestCancellation:
         assert isinstance(value, GaussianRational)
         assert value.is_real
 
-    def test_cache_grows_past_the_pair_order(self):
+    def test_cache_grows_past_the_pair_order(self, monkeypatch):
+        passes = []
+
+        def counted(*args, **kwargs):
+            passes.append(args[-1])
+            return graded_moments(*args, **kwargs)
+
+        monkeypatch.setattr(commutator, "graded_moments", counted)
         pair = DistributionPair(CumulantSequence.semicircular(1, 6), FP1, 3)
         cache = {}
         assert not cancellation_sum(2, 1, pair, cache=cache)
@@ -262,6 +271,8 @@ class TestCancellation:
         for n in range(2, 7):
             for k in range(1, n):
                 assert not cancellation_sum(n, k, pair, cache=cache)
+        # the first miss past the pair's order fills as far as s allows
+        assert passes == [3, 6]
         assert sorted(cache) == [1, 2, 3, 4, 5, 6]
         assert all(len(coeffs) == n + 1 for n, coeffs in cache.items())
         assert cache[6] == per_t_coefficients(6, pair)

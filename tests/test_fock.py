@@ -2,8 +2,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from freecommutant.commutator import closed_form_cumulant, expansion_cumulant
+from freecommutant.commutator import (
+    closed_form_cumulant,
+    closed_form_cumulants,
+    expansion_cumulant,
+)
+from freecommutant.cumulants import CumulantSequence
 from freecommutant.errors import DomainError, TruncationError
 from freecommutant.fid import compound_poisson_from_rho
 from freecommutant.fock import (
@@ -14,12 +20,14 @@ from freecommutant.fock import (
     RhoMoments,
     apply,
     composition_formula_cumulant,
+    composition_formula_cumulants,
     inner_product,
     model_cumulant,
     model_cumulant_parts,
     model_cumulants,
     verify_adjointness,
 )
+from partition_oracles import enumerated_closed_form, enumerated_composition_formula
 
 DELTA1 = RhoMoments.delta(1, 12)
 DELTA2 = RhoMoments.delta(2, 12)
@@ -200,7 +208,7 @@ class TestIdentityChain:
 
 class TestModelSequencePastOrderTwelve:
     """One walk per operator sum, read after every step, against the two
-    partition routes at every order."""
+    partition recursions and the partition enumerations at every order."""
 
     @pytest.mark.parametrize("atoms", [
         [(Fraction(1, 3), -1), (Fraction(2, 3), 2)],
@@ -213,9 +221,11 @@ class TestModelSequencePastOrderTwelve:
         dist_x = compound_poisson_from_rho(rho, 14)
         models = model_cumulants(14, rho)
         assert len(models) == 14
+        assert models == composition_formula_cumulants(14, rho)
+        assert models == closed_form_cumulants(14, dist_x)
         for n, model in enumerate(models, start=1):
-            comp = composition_formula_cumulant(n, rho)
-            assert model == comp == closed_form_cumulant(n, dist_x)
+            assert model == enumerated_composition_formula(n, rho)
+            assert model == enumerated_closed_form(n, dist_x)
 
     def test_prefix_and_single_order_agree(self):
         models = model_cumulants(9, SYM_BERN)
@@ -228,6 +238,66 @@ class TestModelSequencePastOrderTwelve:
             model_cumulants(12, SYM_BERN)
         with pytest.raises(DomainError):
             model_cumulants(0, SYM_BERN)
+
+
+# m_1..m_11 of a formal driving sequence: zeros, negatives and fractions
+_FORMAL_MOMENT = st.one_of(st.just(Fraction(0)),
+                           st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+class TestPartitionRecursions:
+    """Both first-block recursions against the enumerations they replace,
+    and against the operator model past the enumerations' reach."""
+
+    @pytest.mark.parametrize("rho", ALL_RHOS, ids=["delta1", "delta2", "symbern", "halfdelta3"])
+    def test_equal_the_enumerations_through_twelve(self, rho):
+        dist_x = compound_poisson_from_rho(rho, 12)
+        assert composition_formula_cumulants(12, rho) == [
+            enumerated_composition_formula(n, rho) for n in range(1, 13)]
+        assert closed_form_cumulants(12, dist_x) == [
+            enumerated_closed_form(n, dist_x) for n in range(1, 13)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_FORMAL_MOMENT, min_size=11, max_size=11))
+    @example([Fraction(0), Fraction(-1), Fraction(0), Fraction(2, 3)] + [Fraction(-1, 2)] * 7)
+    def test_formal_sequences_through_ten(self, moments):
+        rho = RhoMoments(tuple([Fraction(1)] + moments), genuine=False)
+        dist_x = CumulantSequence(moments[:10])
+        comp = composition_formula_cumulants(10, rho)
+        assert comp == [enumerated_composition_formula(n, rho) for n in range(1, 11)]
+        closed = closed_form_cumulants(10, dist_x)
+        assert closed == [enumerated_closed_form(n, dist_x) for n in range(1, 11)]
+        assert model_cumulants(10, rho) == comp == closed
+
+    @pytest.mark.parametrize("atoms", [
+        [(Fraction(1, 3), -1), (Fraction(2, 3), 2)],
+        [(Fraction(1, 4), -2), (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 4), 3)],
+    ], ids=["two-atoms", "three-atoms"])
+    def test_three_routes_agree_through_twenty_four(self, atoms):
+        rho = RhoMoments.from_atoms(atoms, 25)
+        dist_x = compound_poisson_from_rho(rho, 24)
+        models = model_cumulants(24, rho)
+        assert models == composition_formula_cumulants(24, rho) == closed_form_cumulants(24, dist_x)
+
+    def test_pinned_orders_twenty_to_twenty_four(self):
+        # three atoms, from the agreement of the model and both recursions
+        rho = RhoMoments.from_atoms(
+            [(Fraction(1, 4), -2), (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 4), 3)], 24)
+        pinned = [Fraction(v) for v in (
+            "78143610313288802833257/536870912",
+            "1837752691761548849480347/2147483648",
+            "2714634842242546956387187/536870912",
+            "513899917195968331422783949/17179869184",
+            "6101317232040852837042467477/34359738368",
+        )]
+        assert composition_formula_cumulants(24, rho)[19:] == pinned
+        assert closed_form_cumulants(24, compound_poisson_from_rho(rho, 24))[19:] == pinned
+
+    def test_reject_nonpositive_order(self):
+        with pytest.raises(DomainError):
+            composition_formula_cumulants(0, DELTA1)
+        with pytest.raises(DomainError):
+            closed_form_cumulants(0, compound_poisson_from_rho(DELTA1, 4))
 
 
 class TestAdjointness:
