@@ -40,7 +40,6 @@ from .fid import compound_poisson_from_rho, hankel_fid_check
 from .fock import (
     ADJOINT_MOMENT_ORDER,
     ADJOINT_PAIRS,
-    RhoMoments,
     composition_formula_cumulants,
     model_cumulants,
     verify_adjointness,
@@ -67,7 +66,7 @@ class DistributionSpec:
         if self.kind == "free-poisson":
             return CumulantSequence.free_poisson(self.numbers[0], order)
         if self.kind == "atomic":
-            return cumulants_from_moments(MomentSequence(self.rho(order).values), order)
+            return cumulants_from_moments(self.rho(order), order)
         if self.kind == "cumulants":
             padded = list(self.numbers[:order])
             padded += [Fraction(0)] * (order - len(padded))
@@ -76,21 +75,31 @@ class DistributionSpec:
             return compound_poisson_from_rho(self.rho(order), order)
         raise SpecSyntaxError(f"unknown spec kind {self.kind}", 0)
 
-    def rho(self, order: int) -> RhoMoments:
+    def rho(self, order: int) -> MomentSequence:
         if self.kind == "atomic":
-            return RhoMoments.from_atoms(self.atoms, order)
+            return MomentSequence.from_atoms(self.atoms, order)
         if self.kind == "rho-moments":
             if len(self.numbers) < order:
                 raise SpecSyntaxError(
                     f"rho-moments lists {len(self.numbers)} moments, need {order}", 0)
-            return RhoMoments((Fraction(1),) + self.numbers[:order], genuine=False)
+            return MomentSequence((Fraction(1),) + self.numbers[:order])
         raise SpecSyntaxError(
             f"spec kind {self.kind} does not describe a driving measure", 0)
 
 
+def _literal(text: str) -> Fraction:
+    """An exact rational literal: an integer, p/q or a decimal such as 0.25.
+    Exponent notation is refused, since a literal like 1e10000000 alone takes
+    seconds to expand; a literal longer than the interpreter's
+    string-to-integer limit fails in ``Fraction`` itself."""
+    if "e" in text.lower():
+        raise ValueError("exponent notation is not accepted")
+    return Fraction(text)
+
+
 def _parse_rational(text: str, offset: int) -> Fraction:
     try:
-        return Fraction(text.strip())
+        return _literal(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecSyntaxError(f"bad rational literal {text.strip()!r}: {exc}", offset) from exc
 
@@ -165,7 +174,7 @@ def _positive_int(text: str) -> int:
 def _rational(text: str) -> Fraction:
     """Type of ``--s-var``: an exact rational literal such as 2 or 1/3."""
     try:
-        return Fraction(text)
+        return _literal(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"expected an exact rational, got {text!r}") from None
@@ -370,21 +379,21 @@ def _cmd_verify_fock(args) -> tuple[dict, bool]:
 
 
 def _cmd_fid_check(args) -> tuple[dict, bool]:
+    if not (args.rho or args.sequence):
+        raise FreeCommutantError("fid-check needs --rho and/or --sequence")
     size = args.size
-    order = 2 * size
+    # the Hankel matrix is size x size, so --size is capped like an order
+    order = _order_or_die(2 * size, "2 * --size")
     checks: list[tuple[str, CumulantSequence]] = []
     if args.sequence:
         checks.append(("sequence", parse_spec(args.sequence).cumulants(order)))
     if args.rho:
-        _order_or_die(order, "2 * --size")
         rho = parse_spec(args.rho).rho(order)
         dist_x = compound_poisson_from_rho(rho, order)
         checks.append(("x+i[x,s]", CumulantSequence(closed_form_cumulants(order, dist_x))))
         pair = DistributionPair.standard(dist_x, 1, max_order=order)
         checks.append(("s+i[s,x]",
                        cumulant_sequence_of(sum_with_commutator(), pair, order)))
-    if not checks:
-        raise FreeCommutantError("fid-check needs --rho and/or --sequence")
     if _fault_active() and checks[0][1].max_order >= 2:
         name, seq = checks[0]
         values = list(seq.values)
@@ -445,12 +454,6 @@ _HANDLERS = {
     "partitions": _cmd_partitions,
     "cumulants": _cmd_cumulants,
 }
-
-
-def run(argv: list[str]) -> tuple[dict, bool]:
-    """Parse arguments and execute one command, returning (report, ok)."""
-    args = _build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
 
 
 def _render_table(payload: dict) -> str:

@@ -1,7 +1,11 @@
 """Exact free-cumulant calculus for words and polynomials in two letters.
 
 The letters are ``s`` and ``x``, modelling two freely independent variables;
-everything is exact rational arithmetic.  The central operation sums block
+everything is exact rational arithmetic.  Sequences come in two types,
+cumulants and moments, related by O(N^3) first-block transforms; one
+moment type serves both a law and the measure that drives the operator
+model, with a flag for sequences built from an atomic measure.  The
+central operation sums block
 products of single-variable cumulants over non-crossing partitions whose
 join with the word-grouping interval partition is full — the standard
 products-as-entries evaluation — with a pruned fast path and a deliberately
@@ -16,9 +20,10 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     DomainError,
@@ -80,8 +85,15 @@ def over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]
 
 
 def format_rational(value: Fraction) -> str:
-    """Render as 'p' or 'p/q'; the only numeric format the package emits."""
-    return str(value)
+    """Render as 'p' or 'p/q'; the only numeric format the package emits.
+    A value whose numerator or denominator is longer than the interpreter's
+    integer-to-string limit cannot be printed and is refused."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise SizeLimitError(
+            f"a result has more than {sys.get_int_max_str_digits()} digits"
+            " and cannot be printed exactly") from exc
 
 
 @dataclass(frozen=True)
@@ -136,26 +148,17 @@ GR_ONE = GaussianRational(_ONE)
 GR_I = GaussianRational(_ZERO, _ONE)
 
 
+@dataclass(frozen=True, slots=True)
 class CumulantSequence:
     """Free cumulants kappa_1..kappa_N of one distribution, exact rationals.
 
     Purely formal: no positivity is assumed anywhere.
     """
 
-    __slots__ = ("values",)
+    values: tuple[Fraction, ...]
 
-    def __init__(self, values: Iterable):
-        vals = tuple(as_fraction(v) for v in values)
-        object.__setattr__(self, "values", vals)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("CumulantSequence is immutable")
-
-    def __getstate__(self):
-        return self.values
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "values", state)
+    def __post_init__(self):
+        object.__setattr__(self, "values", tuple(as_fraction(v) for v in self.values))
 
     @property
     def max_order(self) -> int:
@@ -200,35 +203,43 @@ class CumulantSequence:
     def to_json(self) -> list[str]:
         return [format_rational(v) for v in self.values]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CumulantSequence) and self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash(self.values)
-
     def __repr__(self) -> str:
         return f"CumulantSequence({[str(v) for v in self.values]})"
 
 
+@dataclass(frozen=True, slots=True)
 class MomentSequence:
-    """Moments m_0..m_N with m_0 = 1, exact rationals."""
+    """Moments m_0..m_N with m_0 = 1, exact rationals.
 
-    __slots__ = ("values",)
+    ``genuine`` marks sequences that come from an actual positive measure
+    (built from atoms); purely formal sequences leave it unset.  Equality
+    compares the values only.
+    """
 
-    def __init__(self, values: Iterable):
-        vals = tuple(as_fraction(v) for v in values)
+    values: tuple[Fraction, ...]
+    genuine: bool = field(default=False, compare=False)
+
+    def __post_init__(self):
+        vals = tuple(as_fraction(v) for v in self.values)
         if not vals or vals[0] != 1:
             raise DomainError("moment sequence must start with m_0 = 1")
         object.__setattr__(self, "values", vals)
 
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("MomentSequence is immutable")
+    @classmethod
+    def from_atoms(cls, atoms: Sequence[tuple], order: int) -> "MomentSequence":
+        """Moments m_0..m_order of a finite atomic probability measure, given
+        as (weight, atom) pairs; genuine by construction."""
+        pairs = [(as_fraction(w), as_fraction(a)) for w, a in atoms]
+        if not pairs or any(w <= 0 for w, _ in pairs):
+            raise DomainError("atom weights must be positive")
+        if sum(w for w, _ in pairs) != 1:
+            raise DomainError("atom weights must sum to 1")
+        values = [sum((w * a ** k for w, a in pairs), _ZERO) for k in range(order + 1)]
+        return cls(values, genuine=True)
 
-    def __getstate__(self):
-        return self.values
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "values", state)
+    @classmethod
+    def delta(cls, point, order: int) -> "MomentSequence":
+        return cls.from_atoms([(1, point)], order)
 
     @property
     def max_order(self) -> int:
@@ -244,26 +255,21 @@ class MomentSequence:
     def to_json(self) -> list[str]:
         return [format_rational(v) for v in self.values]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MomentSequence) and self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash(self.values)
-
     def __repr__(self) -> str:
         return f"MomentSequence({[str(v) for v in self.values]})"
 
 
-def _extend_powers(powers: list[list[Fraction]], m: list[Fraction], n: int) -> None:
-    """Add the diagonal k + j = n to the table powers[k][j] = [z^j] M(z)^k,
-    where M(z) = sum_t m_t z^t.
+def _extend_powers(powers: list[list[Fraction]], m: list[Fraction], n: int, rows: int) -> None:
+    """Add rows 1..rows of the diagonal k + j = n to the table
+    powers[k][j] = [z^j] M(z)^k, where M(z) = sum_t m_t z^t.
 
     Each new entry is one convolution of the moments with the row below,
     [z^j] M^k = sum_t m_t [z^(j-t)] M^(k-1), which only needs m_0..m_(n-1)
-    and diagonals below n; row n starts at [z^0] M^n = 1.
+    and diagonals below n; row n starts at [z^0] M^n = 1.  A row left out
+    of a diagonal must be left out of every later one.
     """
     powers[0].append(_ZERO)
-    for k in range(1, n):
+    for k in range(1, min(n, rows + 1)):
         below = powers[k - 1]
         j = n - k
         total = _ZERO
@@ -280,7 +286,8 @@ def _extend_powers(powers: list[list[Fraction]], m: list[Fraction], n: int) -> N
 def composition_series(values: Sequence[Fraction], order: int
                        ) -> tuple[list[Fraction], list[list[Fraction]]]:
     """F_0..F_order of F(z) = sum_n F_n z^n, and the table
-    powers[k][j] = [z^j] F(z)^k for k + j <= order.
+    powers[k][j] = [z^j] F(z)^k for j <= order - 2k: every entry that a
+    :func:`first_block_sum` up to ``order`` reads.
 
     F_0 = 1, and F_n sums, over the compositions of n into parts >= 2 and
     the non-crossing partitions of their parts, the product over blocks of
@@ -294,7 +301,9 @@ def composition_series(values: Sequence[Fraction], order: int
     powers: list[list[Fraction]] = [[_ONE]]
     for n in range(1, order + 1):
         series.append(first_block_sum(values, powers, n, lambda a, b: math.comb(a - b - 1, b - 1)))
-        _extend_powers(powers, series, n)
+        # row k is read at columns j <= order - 2k, that is on diagonals
+        # k + j <= order - k
+        _extend_powers(powers, series, n, order - n)
     return series, powers
 
 
@@ -325,7 +334,7 @@ def moments_from_cumulants(seq: CumulantSequence, order: int) -> MomentSequence:
     m: list[Fraction] = [_ONE]
     powers: list[list[Fraction]] = [[_ONE]]
     for n in range(1, order + 1):
-        _extend_powers(powers, m, n)
+        _extend_powers(powers, m, n, n - 1)
         total = _ZERO
         for k in range(1, n + 1):
             kv = seq.kappa(k)
@@ -344,7 +353,7 @@ def cumulants_from_moments(mseq: MomentSequence, order: int) -> CumulantSequence
     m = [mseq.moment(k) for k in range(order + 1)]
     powers: list[list[Fraction]] = [[_ONE]]
     for n in range(1, order + 1):
-        _extend_powers(powers, m, n)
+        _extend_powers(powers, m, n, n - 1)
     kappas: list[Fraction] = []
     for n in range(1, order + 1):
         value = m[n]
@@ -361,6 +370,7 @@ def _check_word(word: str) -> None:
         raise DomainError(f"words are nonempty strings over {{'s','x'}}, got {word!r}")
 
 
+@dataclass(frozen=True, slots=True)
 class Polynomial:
     """Gaussian-rational combination of words in s and x plus a constant.
 
@@ -368,27 +378,16 @@ class Polynomial:
     and hashing are canonical.
     """
 
-    __slots__ = ("terms", "constant")
+    terms: tuple[tuple[str, GaussianRational], ...] = ()
+    constant: GaussianRational = GR_ZERO
 
-    def __init__(self, terms: Iterable[tuple[str, GaussianRational]] = (),
-                 constant: GaussianRational = GR_ZERO):
+    def __post_init__(self):
         merged: dict[str, GaussianRational] = {}
-        for word, coeff in terms:
+        for word, coeff in self.terms:
             _check_word(word)
             merged[word] = merged.get(word, GR_ZERO) + coeff
-        canon = tuple(sorted((w, c) for w, c in merged.items() if c))
-        object.__setattr__(self, "terms", canon)
-        object.__setattr__(self, "constant", constant)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("Polynomial is immutable")
-
-    def __getstate__(self):
-        return (self.terms, self.constant)
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "terms", state[0])
-        object.__setattr__(self, "constant", state[1])
+        object.__setattr__(
+            self, "terms", tuple(sorted((w, c) for w, c in merged.items() if c)))
 
     @classmethod
     def from_word(cls, word: str, coeff: GaussianRational = GR_ONE) -> "Polynomial":
@@ -411,16 +410,6 @@ class Polynomial:
     @property
     def is_self_adjoint(self) -> bool:
         return self == self.adjoint()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and self.terms == other.terms
-            and self.constant == other.constant
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.terms, self.constant))
 
     def __repr__(self) -> str:
         parts = [f"({c})*{w}" for w, c in self.terms]

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cumulants import CumulantSequence, format_rational
+from .cumulants import CumulantSequence, MomentSequence, format_rational
 from .errors import TruncationError
-from .fock import RhoMoments
 
 _ZERO = Fraction(0)
 
@@ -55,7 +54,7 @@ def boxplus(a: CumulantSequence, b: CumulantSequence, order: int) -> CumulantSeq
     return CumulantSequence([a.kappa(n) + b.kappa(n) for n in range(1, order + 1)])
 
 
-def compound_poisson_from_rho(rho: RhoMoments, order: int) -> CumulantSequence:
+def compound_poisson_from_rho(rho: MomentSequence, order: int) -> CumulantSequence:
     """Cumulants of the compound free Poisson law driven by rho:
     kappa_n = m_n(rho)."""
     if order > rho.max_order:

@@ -13,64 +13,22 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .cumulants import as_fraction, composition_series, first_block_sum, format_rational
+from .cumulants import (
+    MomentSequence,
+    as_fraction,
+    composition_series,
+    first_block_sum,
+    format_rational,
+)
 from .errors import DomainError, TruncationError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-@dataclass(frozen=True)
-class RhoMoments:
-    """Moments m_0..m_N of the driving measure; m_0 = 1.
-
-    ``genuine`` marks sequences that come from an actual positive measure
-    (e.g. built from atoms); purely formal sequences leave it unset.
-    """
-
-    values: tuple[Fraction, ...]
-    genuine: bool = False
-
-    def __post_init__(self):
-        vals = tuple(as_fraction(v) for v in self.values)
-        if not vals or vals[0] != 1:
-            raise DomainError("moment sequence must start with m_0 = 1")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def max_order(self) -> int:
-        return len(self.values) - 1
-
-    def moment(self, k: int) -> Fraction:
-        if not 0 <= k <= self.max_order:
-            raise TruncationError(
-                f"m_{k} of the driving measure requested, available to order {self.max_order}"
-            )
-        return self.values[k]
-
-    @classmethod
-    def from_atoms(cls, atoms: Sequence[tuple], order: int) -> "RhoMoments":
-        """Moments of a finite atomic probability measure; genuine by
-        construction."""
-        pairs = [(as_fraction(w), as_fraction(a)) for w, a in atoms]
-        if not pairs or any(w <= 0 for w, _ in pairs):
-            raise DomainError("atom weights must be positive")
-        if sum(w for w, _ in pairs) != 1:
-            raise DomainError("atom weights must sum to 1")
-        values = [sum((w * a ** k for w, a in pairs), _ZERO) for k in range(order + 1)]
-        return cls(tuple(values), genuine=True)
-
-    @classmethod
-    def delta(cls, point, order: int) -> "RhoMoments":
-        return cls.from_atoms([(1, point)], order)
-
-    def to_json(self) -> list[str]:
-        return [format_rational(v) for v in self.values]
 
 
 class OperatorName(Enum):
@@ -103,13 +61,16 @@ def _check_tensor(t: tuple[int, ...]) -> None:
         raise DomainError(f"basis tensors are nonempty tuples of nonnegative ints, got {t!r}")
 
 
+@dataclass(frozen=True, slots=True)
 class FockVector:
-    """Sparse rational combination of elementary tensors."""
+    """Sparse rational combination of elementary tensors.  Built from any
+    iterable of (tensor, coefficient) pairs or a dict; like terms merge and
+    zero coefficients are dropped."""
 
-    __slots__ = ("terms",)
+    terms: dict[tuple[int, ...], Fraction] = field(default_factory=dict)
 
-    def __init__(self, terms: Iterable[tuple[tuple[int, ...], Fraction]] | dict = ()):
-        items = terms.items() if isinstance(terms, dict) else terms
+    def __post_init__(self):
+        items = self.terms.items() if isinstance(self.terms, dict) else self.terms
         acc: dict[tuple[int, ...], Fraction] = {}
         for t, c in items:
             t = tuple(t)
@@ -120,15 +81,6 @@ class FockVector:
                 if not acc[t]:
                     del acc[t]
         object.__setattr__(self, "terms", acc)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("FockVector is immutable")
-
-    def __getstate__(self):
-        return self.terms
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "terms", state)
 
     @classmethod
     def _trusted(cls, terms: dict[tuple[int, ...], Fraction]) -> "FockVector":
@@ -165,9 +117,6 @@ class FockVector:
         f = as_fraction(c)
         return FockVector({t: v * f for t, v in self.terms.items()})
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FockVector) and self.terms == other.terms
-
     def __repr__(self) -> str:
         return f"FockVector({self.items()!r})"
 
@@ -179,7 +128,7 @@ class FockVector:
 
 
 def _apply_tensor(op: OperatorName, t: tuple[int, ...],
-                  rho: RhoMoments) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+                  rho: MomentSequence) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     n = len(t)
     odd = n % 2 == 1
     if op is OperatorName.XHAT:
@@ -222,7 +171,7 @@ def _apply_tensor(op: OperatorName, t: tuple[int, ...],
         raise DomainError(f"unknown operator {op!r}")
 
 
-def apply(op: OperatorName, v: FockVector, rho: RhoMoments) -> FockVector:
+def apply(op: OperatorName, v: FockVector, rho: MomentSequence) -> FockVector:
     """Linear extension of the per-tensor operator action."""
     acc: dict[tuple[int, ...], Fraction] = {}
     for t, c in v.terms.items():
@@ -235,7 +184,7 @@ def apply(op: OperatorName, v: FockVector, rho: RhoMoments) -> FockVector:
     return FockVector._trusted(acc)
 
 
-def inner_product(u: FockVector, v: FockVector, rho: RhoMoments) -> Fraction:
+def inner_product(u: FockVector, v: FockVector, rho: MomentSequence) -> Fraction:
     """Bilinear extension of: tensors of different lengths are orthogonal,
     equal lengths pair slotwise through moments of Y."""
     total = _ZERO
@@ -256,7 +205,7 @@ def inner_product(u: FockVector, v: FockVector, rho: RhoMoments) -> Fraction:
 
 
 def _vacuum_moments(ops: Sequence[OperatorName], order: int,
-                    rho: RhoMoments) -> list[Fraction]:
+                    rho: MomentSequence) -> list[Fraction]:
     """<(sum of ops)^j Omega, Omega> for j = 1..order from one walk.
 
     Every operator changes the tensor length by at most one and only
@@ -282,12 +231,12 @@ def _vacuum_moments(ops: Sequence[OperatorName], order: int,
     return moments
 
 
-def model_cumulant_parts(n: int, rho: RhoMoments) -> tuple[Fraction, Fraction]:
+def model_cumulant_parts(n: int, rho: MomentSequence) -> tuple[Fraction, Fraction]:
     """Vacuum moments of the n-th powers of the two operator sums."""
     return _vacuum_moments(HAT_SUM, n, rho)[-1], _vacuum_moments(TILDE_SUM, n, rho)[-1]
 
 
-def model_cumulants(order: int, rho: RhoMoments) -> list[Fraction]:
+def model_cumulants(order: int, rho: MomentSequence) -> list[Fraction]:
     """kappa_1..kappa_order(x + i[x,s]), each realized as the sum of the
     vacuum moments of the two operator sums, where kappa_m(x) = m_m(rho) and
     s is standard semicircular.  Each sum is walked from the vacuum once and
@@ -297,12 +246,12 @@ def model_cumulants(order: int, rho: RhoMoments) -> list[Fraction]:
     return [h + t for h, t in zip(hat, _vacuum_moments(TILDE_SUM, order, rho))]
 
 
-def model_cumulant(n: int, rho: RhoMoments) -> Fraction:
+def model_cumulant(n: int, rho: MomentSequence) -> Fraction:
     """kappa_n(x + i[x,s]) alone; see :func:`model_cumulants`."""
     return model_cumulants(n, rho)[-1]
 
 
-def composition_formula_cumulants(order: int, rho: RhoMoments) -> list[Fraction]:
+def composition_formula_cumulants(order: int, rho: MomentSequence) -> list[Fraction]:
     """The same sequence as :func:`model_cumulants`, by the closed sums over
     compositions of n.  One family runs over compositions whose outer parts
     may be single and inner parts are at least 2, paired with non-crossing
@@ -321,7 +270,7 @@ def composition_formula_cumulants(order: int, rho: RhoMoments) -> list[Fraction]
         for n in range(1, order + 1)]
 
 
-def composition_formula_cumulant(n: int, rho: RhoMoments) -> Fraction:
+def composition_formula_cumulant(n: int, rho: MomentSequence) -> Fraction:
     """kappa_n(x + i[x,s]) alone; see :func:`composition_formula_cumulants`."""
     return composition_formula_cumulants(n, rho)[-1]
 
@@ -344,7 +293,7 @@ def _random_vector(rng: random.Random) -> FockVector:
 
 
 def verify_adjointness(pairs: Sequence[tuple[OperatorName, OperatorName]],
-                       samples: int, rho: RhoMoments, seed: int) -> bool:
+                       samples: int, rho: MomentSequence, seed: int) -> bool:
     """Check <A u, v> = <u, B v> exactly on seeded pseudo-random small states
     for each (A, B) pair; requires a genuine-measure moment sequence, since
     adjointness is only meaningful for a true bilinear form.  Needs moments

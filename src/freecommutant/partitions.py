@@ -2,9 +2,10 @@
 
 Covers the partition families the cumulant machinery sums over (all set
 partitions, non-crossing, interval, interval with blocks of size >= 2,
-non-crossing with first and last element joined), the lattice join, the
-composition that merges interval blocks along a coarser partition, and the
-index-expansion maps used when two-letter words are split into letters.
+non-crossing with first and last element joined), the test of whether two
+partitions join to the one-block partition, the composition that merges
+interval blocks along a coarser partition, and the cyclic assignment of
+symbols along blocks.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ ENUMERATION_CAPS = {
 }
 
 
+@dataclass(frozen=True, slots=True)
 class Partition:
     """A set partition of {1..n} in canonical form.
 
@@ -42,12 +44,14 @@ class Partition:
     construction.
     """
 
-    __slots__ = ("n", "blocks")
+    n: int
+    blocks: tuple[tuple[int, ...], ...]
 
-    def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
+    def __post_init__(self):
+        n = self.n
         if n < 1:
             raise DomainError(f"ground-set size must be positive, got {n}")
-        canon = sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0] if b else 0)
+        canon = sorted((tuple(sorted(b)) for b in self.blocks), key=lambda b: b[0] if b else 0)
         seen: list[int] = []
         for b in canon:
             if not b:
@@ -55,18 +59,7 @@ class Partition:
             seen.extend(b)
         if sorted(seen) != list(range(1, n + 1)):
             raise DomainError(f"blocks do not partition {{1..{n}}}: {canon}")
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "blocks", tuple(canon))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guards misuse
-        raise AttributeError("Partition is immutable")
-
-    def __getstate__(self):
-        return (self.n, self.blocks)
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "n", state[0])
-        object.__setattr__(self, "blocks", state[1])
 
     @classmethod
     def full(cls, n: int) -> "Partition":
@@ -90,12 +83,6 @@ class Partition:
 
     def to_json(self) -> list[list[int]]:
         return [list(b) for b in self.blocks]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.n == other.n and self.blocks == other.blocks
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.blocks))
 
     def __repr__(self) -> str:
         return f"Partition({self.n}, {[list(b) for b in self.blocks]})"
@@ -124,30 +111,6 @@ def is_noncrossing(p: Partition) -> bool:
 def is_interval(p: Partition) -> bool:
     """True iff every block is a run of consecutive integers."""
     return all(b[-1] - b[0] + 1 == len(b) for b in p.blocks)
-
-
-def join(p: Partition, q: Partition) -> Partition:
-    """Finest partition refined by neither: connected components of the two
-    block systems glued together."""
-    if p.n != q.n:
-        raise GroundSetError(f"join over mismatched ground sets: {p.n} vs {q.n}")
-    parent = list(range(p.n + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for part in (p, q):
-        for b in part.blocks:
-            r = find(b[0])
-            for e in b[1:]:
-                parent[find(e)] = r
-    groups: dict[int, list[int]] = {}
-    for e in range(1, p.n + 1):
-        groups.setdefault(find(e), []).append(e)
-    return Partition(p.n, groups.values())
 
 
 def joins_to_full(p: Partition, q: Partition) -> bool:
@@ -198,60 +161,6 @@ def compose_interval(pi: Partition, sigma: Partition) -> Partition:
     rho = Partition(sigma.n, merged)
     assert is_noncrossing(rho)
     return rho
-
-
-@dataclass(frozen=True)
-class ExpansionMaps:
-    """Index bookkeeping for doubling the positions of a subset.
-
-    Positions j of {1..n} are laid out left to right on {1..n+|subset|},
-    each j in ``subset`` occupying two consecutive slots and every other j
-    one slot.  ``tau`` is the interval partition of those slots, ``phi``
-    collapses slots back to source positions and ``iota`` takes preimages.
-    """
-
-    n: int
-    subset: frozenset[int]
-    tau: Partition
-    phi_table: tuple[int, ...]  # 1-based slot -> source position
-
-    @property
-    def ground_size(self) -> int:
-        return self.n + len(self.subset)
-
-    def phi(self, slot: int) -> int:
-        if not 1 <= slot <= self.ground_size:
-            raise DomainError(f"slot {slot} outside {{1..{self.ground_size}}}")
-        return self.phi_table[slot - 1]
-
-    def iota(self, positions: Iterable[int]) -> frozenset[int]:
-        wanted = set(positions)
-        bad = wanted - set(range(1, self.n + 1))
-        if bad:
-            raise DomainError(f"positions {sorted(bad)} outside {{1..{self.n}}}")
-        return frozenset(
-            slot for slot in range(1, self.ground_size + 1)
-            if self.phi_table[slot - 1] in wanted
-        )
-
-
-def expansion_maps(n: int, subset: Iterable[int]) -> ExpansionMaps:
-    """Build tau, iota and phi for doubling the positions in ``subset``."""
-    if n < 1:
-        raise DomainError(f"ground-set size must be positive, got {n}")
-    b = frozenset(subset)
-    bad = b - set(range(1, n + 1))
-    if bad:
-        raise DomainError(f"subset elements {sorted(bad)} outside {{1..{n}}}")
-    phi: list[int] = []
-    tau_blocks: list[list[int]] = []
-    slot = 1
-    for j in range(1, n + 1):
-        width = 2 if j in b else 1
-        tau_blocks.append(list(range(slot, slot + width)))
-        phi.extend([j] * width)
-        slot += width
-    return ExpansionMaps(n=n, subset=b, tau=Partition(n + len(b), tau_blocks), phi_table=tuple(phi))
 
 
 def assign_by_blocks(block_assignments: Sequence[tuple[Iterable[int], Sequence]]) -> tuple:

@@ -1,10 +1,11 @@
-"""Enumerating oracles for the two partition sums of x + i[x,s].
+"""Enumerating oracles for the partition computations of the package.
 
-``closed_form_cumulants`` and ``composition_formula_cumulants`` compute these
-sums by first-block recursions; the functions here enumerate the partitions
-themselves, one order at a time, so the two routes share nothing but the
-moment and cumulant inputs.  The NC(k) families grow like the Catalan
-numbers: keep n at 14 or below.
+``closed_form_cumulants`` and ``composition_formula_cumulants`` compute the
+two partition sums of x + i[x,s] by first-block recursions; the functions
+here enumerate the partitions themselves, one order at a time, so the two
+routes share nothing but the moment and cumulant inputs.  The NC(k) families
+grow like the Catalan numbers: keep n at 14 or below.  ``join`` builds the
+lattice join that ``joins_to_full`` decides without materializing.
 """
 
 from __future__ import annotations
@@ -12,10 +13,33 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from freecommutant.cumulants import CumulantSequence, over_common_denominator
-from freecommutant.errors import DomainError
-from freecommutant.fock import RhoMoments
-from freecommutant.partitions import PartitionKind, iter_partitions
+from freecommutant.cumulants import CumulantSequence, MomentSequence, over_common_denominator
+from freecommutant.errors import DomainError, GroundSetError
+from freecommutant.partitions import Partition, PartitionKind, iter_partitions
+
+
+def join(p: Partition, q: Partition) -> Partition:
+    """Finest partition refined by neither: connected components of the two
+    block systems glued together."""
+    if p.n != q.n:
+        raise GroundSetError(f"join over mismatched ground sets: {p.n} vs {q.n}")
+    parent = list(range(p.n + 1))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for part in (p, q):
+        for b in part.blocks:
+            r = find(b[0])
+            for e in b[1:]:
+                parent[find(e)] = r
+    groups: dict[int, list[int]] = {}
+    for e in range(1, p.n + 1):
+        groups.setdefault(find(e), []).append(e)
+    return Partition(p.n, groups.values())
 
 
 def enumerated_closed_form(n: int, dist_x: CumulantSequence) -> Fraction:
@@ -81,7 +105,7 @@ def _composition_sum(n: int, minima: Sequence[int], kind: PartitionKind,
             by_blocks[len(blocks)] += prod
 
 
-def enumerated_composition_formula(n: int, rho: RhoMoments) -> Fraction:
+def enumerated_composition_formula(n: int, rho: MomentSequence) -> Fraction:
     """kappa_n(x + i[x,s]) with kappa_m(x) = m_m(rho), by the sums over
     compositions of n: compositions whose outer parts may be single and
     inner parts are at least 2, paired with non-crossing partitions of the

@@ -27,7 +27,6 @@ from freecommutant.cumulants import (
 from freecommutant.fid import compound_poisson_from_rho, hankel_fid_check
 from freecommutant.fock import (
     ADJOINT_PAIRS,
-    RhoMoments,
     composition_formula_cumulant,
     model_cumulant,
     verify_adjointness,
@@ -60,11 +59,11 @@ X_SUITE = {
 S_VARIANCES = (1, 2)
 
 RHO_SUITE = {
-    "delta1": RhoMoments.delta(1, ORDER + 2),
-    "delta2": RhoMoments.delta(2, ORDER + 2),
-    "half(delta-1+delta1)": RhoMoments.from_atoms(
+    "delta1": MomentSequence.delta(1, ORDER + 2),
+    "delta2": MomentSequence.delta(2, ORDER + 2),
+    "half(delta-1+delta1)": MomentSequence.from_atoms(
         [(Fraction(1, 2), -1), (Fraction(1, 2), 1)], ORDER + 2),
-    "half-delta0+half-delta3": RhoMoments.from_atoms(
+    "half-delta0+half-delta3": MomentSequence.from_atoms(
         [(Fraction(1, 2), 0), (Fraction(1, 2), 3)], ORDER + 2),
 }
 
@@ -201,6 +200,6 @@ def test_criterion_8_engine_soundness():
                     assert cumulant_of_word_products(
                         rotated, dist_s, dist_x) == pruned, (tup, r)
 
-    assert verify_adjointness(ADJOINT_PAIRS, 50, RhoMoments.delta(1, 10), seed=2025)
+    assert verify_adjointness(ADJOINT_PAIRS, 50, MomentSequence.delta(1, 10), seed=2025)
     print("ACCEPTANCE 8 (round trip, pruned=unpruned, cyclic invariance,"
           " adjointness): PASS")

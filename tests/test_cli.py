@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -5,12 +7,14 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from jsonschema import validate
 
 from freecommutant import cli
-from freecommutant.cli import main, parse_spec, run
+from freecommutant.cli import main, parse_spec
 from freecommutant.cumulants import CumulantSequence, moments_from_cumulants
 from freecommutant.errors import SpecSyntaxError
 
@@ -292,6 +296,20 @@ class TestBadArguments:
         assert out == ""
         assert flag in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["cumulants", "--x", "semicircle(1e5000)", "--max-order", "2"],
+        ["cumulants", "--x", "semicircle(1e10000000)", "--max-order", "2"],
+        ["verify-additivity", "--x", "free-poisson(1)", "--s-var", "1e5000"],
+        ["cumulants", "--x", f"semicircle({'9' * 4000})", "--max-order", "8"],
+    ], ids=["exponent-spec", "runaway-exponent-spec", "exponent-s-var", "too-long-to-print"])
+    def test_huge_numbers_are_usage_errors(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("FREECOMMUTANT_MAX_ORDER", raising=False)
+        code, out, err = run_main(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert ("exponent notation" in err or "--s-var" in err or "digits" in err)
+        assert "Traceback" not in err
+
     def test_cancellation_needs_order_two(self, capsys):
         code, out, err = run_main(
             ["cancellation", "--x", "free-poisson(1)", "--max-order", "1"], capsys)
@@ -335,10 +353,16 @@ class TestExitCodes:
         assert "FREECOMMUTANT_MAX_ORDER" in err and "--size" in err
         assert "order_cap" not in err and "Traceback" not in err
 
-    def test_fid_check_sequence_alone_is_uncapped(self, capsys, monkeypatch):
+    def test_fid_check_sequence_size_goes_through_the_cap(self, capsys, monkeypatch):
+        argv = ["fid-check", "--sequence", "cumulants[0,1]", "--size", "5"]
         monkeypatch.delenv("FREECOMMUTANT_MAX_ORDER", raising=False)
-        code, out, _ = run_main(
-            ["fid-check", "--sequence", "cumulants[0,1]", "--size", "5"], capsys)
+        code, out, err = run_main(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "FREECOMMUTANT_MAX_ORDER" in err and "--size" in err
+        assert "Traceback" not in err
+        monkeypatch.setenv("FREECOMMUTANT_MAX_ORDER", "10")
+        code, out, _ = run_main(argv, capsys)
         assert code == 0
         assert json.loads(out)["entries"][0]["order"] == 10
 
@@ -383,10 +407,87 @@ class TestExitCodes:
 
 
 class TestRunApi:
-    def test_run_returns_payload_and_verdict(self):
-        payload, ok = run(["freeness-witness", "--x", "free-poisson(1)"])
-        assert ok is True
-        assert payload["command"] == "freeness-witness"
+    def test_run_returns_payload_and_verdict(self, capsys):
+        code, out, _ = run_main(["freeness-witness", "--x", "free-poisson(1)"], capsys)
+        assert code == 0
+        assert json.loads(out)["command"] == "freeness-witness"
 
     def test_fid_check_requires_target(self, capsys):
         assert main(["fid-check"]) == 2
+
+
+# Spec entries tagged with whether they alone make the input bad.
+_GOOD_ENTRIES = st.sampled_from(["1", "-2", "1/3", "0.25", " 3/4 ", "0", "9" * 300])
+_BAD_ENTRIES = st.sampled_from(["1e3", "2E-1", "1e10000000", "9" * 5000, "1/0", ""])
+_ENTRIES = st.one_of(_GOOD_ENTRIES.map(lambda e: (e, False)),
+                     _BAD_ENTRIES.map(lambda e: (e, True)),
+                     st.text(max_size=6).map(lambda e: (e, False)))
+
+
+@st.composite
+def _specs(draw):
+    """Spec-shaped text and whether it is known to be bad."""
+    head, brackets = draw(st.sampled_from([
+        ("semicircle", "()"), ("free-poisson", "()"), ("atomic", "()"),
+        ("cumulants", "[]"), ("rho-moments", "[]"), ("gaussian", "()")]))
+    entries = draw(st.lists(_ENTRIES, min_size=1, max_size=2))
+    if head == "atomic":
+        body = ",".join(f"{w}:{a}" for (w, _), (a, _) in zip(entries, entries[1:] + entries))
+    else:
+        body = ",".join(e for e, _ in entries)
+    bad = head == "gaussian" or any(b for _, b in entries)
+    closed = draw(st.integers(0, 9)) > 0
+    return f"{head}{brackets[0]}{body}{brackets[1] if closed else ''}", bad
+
+
+_ORDERS = st.one_of(st.integers(1, 4).map(lambda v: (str(v), False)),
+                    st.sampled_from(["0", "-1", "abc", "1e3", "9" * 5000]).map(
+                        lambda v: (v, True)))
+_CAPS = st.one_of(st.sampled_from([None, "8"]).map(lambda v: (v, False)),
+                  st.sampled_from(["0", "-3", "x", "1e2", "9" * 5000]).map(lambda v: (v, True)))
+
+
+class TestFuzzedInput:
+    """Whatever the input, a command ends in exit 0, 1 or 2 with no
+    traceback, and a bad literal, order, size or cap always ends in 2."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_specs().map(lambda sb: sb[0]), st.text(max_size=30)))
+    def test_parse_spec_raises_only_spec_errors(self, text):
+        try:
+            parse_spec(text)
+        except SpecSyntaxError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(_specs())
+    def test_known_bad_specs_are_refused(self, spec):
+        text, bad = spec
+        if bad:
+            with pytest.raises(SpecSyntaxError):
+                parse_spec(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["verify-additivity", "cancellation", "verify-closed-form",
+                            "verify-fock", "fid-check", "cumulants"]),
+           _specs(), _ORDERS, _CAPS)
+    def test_main_exits_cleanly(self, command, spec, order, cap):
+        (text, bad_spec), (order_text, bad_order) = spec, order
+        cap_text, bad_cap = cap
+        if command == "fid-check":
+            argv = [command, "--rho" if "atomic" in text else "--sequence", text,
+                    "--size", order_text]
+        else:
+            argv = [command, "--rho" if command == "verify-fock" else "--x", text,
+                    "--max-order", order_text]
+        env = {} if cap_text is None else {"FREECOMMUTANT_MAX_ORDER": cap_text}
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, env), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            if cap_text is None:
+                os.environ.pop("FREECOMMUTANT_MAX_ORDER", None)
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if bad_spec or bad_order or bad_cap:
+            assert code == 2, (argv, env, err.getvalue())

@@ -10,7 +10,7 @@ from freecommutant.commutator import (
     sum_with_commutator,
     verify_additivity,
 )
-from freecommutant.cumulants import CumulantSequence, moments_from_cumulants
+from freecommutant.cumulants import CumulantSequence, MomentSequence, moments_from_cumulants
 from freecommutant.errors import TruncationError
 from freecommutant.fid import (
     FidVerdict,
@@ -18,7 +18,6 @@ from freecommutant.fid import (
     compound_poisson_from_rho,
     hankel_fid_check,
 )
-from freecommutant.fock import RhoMoments
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -56,28 +55,28 @@ class TestBoxplus:
 
 class TestCompoundPoisson:
     def test_point_mass_driver_gives_free_poisson(self):
-        rho = RhoMoments.delta(1, 8)
+        rho = MomentSequence.delta(1, 8)
         assert compound_poisson_from_rho(rho, 8) == CumulantSequence.free_poisson(1, 8)
 
     def test_symmetric_bernoulli_driver(self):
-        rho = RhoMoments.from_atoms([(Fraction(1, 2), -1), (Fraction(1, 2), 1)], 6)
+        rho = MomentSequence.from_atoms([(Fraction(1, 2), -1), (Fraction(1, 2), 1)], 6)
         got = compound_poisson_from_rho(rho, 6)
         assert got == CumulantSequence([0, 1, 0, 1, 0, 1])
 
     def test_scaled_point_mass(self):
-        rho = RhoMoments.delta(Fraction(3, 2), 5)
+        rho = MomentSequence.delta(Fraction(3, 2), 5)
         got = compound_poisson_from_rho(rho, 5)
         assert got == CumulantSequence([Fraction(3, 2) ** n for n in range(1, 6)])
 
     @pytest.mark.parametrize("order", range(1, 11))
     def test_moment_pipeline_total(self, order):
-        rho = RhoMoments.from_atoms([(Fraction(1, 3), -1), (Fraction(2, 3), 2)], order)
+        rho = MomentSequence.from_atoms([(Fraction(1, 3), -1), (Fraction(2, 3), 2)], order)
         seq = compound_poisson_from_rho(rho, order)
         moments_from_cumulants(seq, order)  # must be total and exact
 
     def test_truncation(self):
         with pytest.raises(TruncationError):
-            compound_poisson_from_rho(RhoMoments.delta(1, 3), 4)
+            compound_poisson_from_rho(MomentSequence.delta(1, 3), 4)
 
 
 class TestHankelCheck:
@@ -132,7 +131,7 @@ class TestFidWitnesses:
         [(Fraction(1, 2), 0), (Fraction(1, 2), 3)],
     ], ids=["delta1", "delta2", "symbern", "halfdelta3"])
     def test_both_commutator_sums_pass_at_size_three(self, atoms):
-        rho = RhoMoments.from_atoms(atoms, 8)
+        rho = MomentSequence.from_atoms(atoms, 8)
         dist_x = compound_poisson_from_rho(rho, 8)
         perturbed = CumulantSequence(
             [closed_form_cumulant(n, dist_x) for n in range(1, 7)])

@@ -9,7 +9,7 @@ from freecommutant.commutator import (
     closed_form_cumulants,
     expansion_cumulant,
 )
-from freecommutant.cumulants import CumulantSequence
+from freecommutant.cumulants import CumulantSequence, MomentSequence
 from freecommutant.errors import DomainError, TruncationError
 from freecommutant.fid import compound_poisson_from_rho
 from freecommutant.fock import (
@@ -17,7 +17,6 @@ from freecommutant.fock import (
     ADJOINT_PAIRS,
     FockVector,
     OperatorName,
-    RhoMoments,
     apply,
     composition_formula_cumulant,
     composition_formula_cumulants,
@@ -29,10 +28,10 @@ from freecommutant.fock import (
 )
 from partition_oracles import enumerated_closed_form, enumerated_composition_formula
 
-DELTA1 = RhoMoments.delta(1, 12)
-DELTA2 = RhoMoments.delta(2, 12)
-SYM_BERN = RhoMoments.from_atoms([(Fraction(1, 2), -1), (Fraction(1, 2), 1)], 12)
-HALF_DELTA3 = RhoMoments.from_atoms([(Fraction(1, 2), 0), (Fraction(1, 2), 3)], 12)
+DELTA1 = MomentSequence.delta(1, 12)
+DELTA2 = MomentSequence.delta(2, 12)
+SYM_BERN = MomentSequence.from_atoms([(Fraction(1, 2), -1), (Fraction(1, 2), 1)], 12)
+HALF_DELTA3 = MomentSequence.from_atoms([(Fraction(1, 2), 0), (Fraction(1, 2), 3)], 12)
 
 ALL_RHOS = [DELTA1, DELTA2, SYM_BERN, HALF_DELTA3]
 
@@ -52,17 +51,27 @@ class TestRhoMoments:
 
     def test_from_atoms_is_genuine(self):
         assert DELTA1.genuine
-        assert not RhoMoments((1, 1, 1), genuine=False).genuine
+        assert not MomentSequence((1, 1, 1)).genuine
 
     def test_weights_validated(self):
         with pytest.raises(DomainError):
-            RhoMoments.from_atoms([(Fraction(1, 2), 0)], 4)
+            MomentSequence.from_atoms([(Fraction(1, 2), 0)], 4)
         with pytest.raises(DomainError):
-            RhoMoments.from_atoms([(Fraction(-1, 2), 0), (Fraction(3, 2), 1)], 4)
+            MomentSequence.from_atoms([(Fraction(-1, 2), 0), (Fraction(3, 2), 1)], 4)
 
     def test_head_must_be_one(self):
         with pytest.raises(DomainError):
-            RhoMoments((2, 1))
+            MomentSequence((2, 1))
+
+    def test_from_atoms_equals_the_formal_sequence_of_its_values(self):
+        formal = MomentSequence(SYM_BERN.values)
+        assert formal == SYM_BERN and hash(formal) == hash(SYM_BERN)
+        assert SYM_BERN.genuine and not formal.genuine
+        assert verify_adjointness(ADJOINT_PAIRS, 5, SYM_BERN, seed=0)
+        with pytest.raises(DomainError):
+            verify_adjointness(ADJOINT_PAIRS, 5, formal, seed=0)
+        with pytest.raises(AttributeError):
+            formal.values = ()
 
 
 class TestApply:
@@ -156,7 +165,7 @@ class TestInnerProduct:
         assert got == expected
 
     def test_missing_moment_order(self):
-        short = RhoMoments((1, 1), genuine=False)
+        short = MomentSequence((1, 1))
         with pytest.raises(TruncationError):
             inner_product(FockVector([((2,), 1)]), FockVector([((1,), 1)]), short)
 
@@ -173,7 +182,7 @@ class TestModelCumulant:
 
     def test_needs_moments_past_the_order(self):
         with pytest.raises(TruncationError):
-            model_cumulant(4, RhoMoments((1, 1, 1, 1), genuine=False))
+            model_cumulant(4, MomentSequence((1, 1, 1, 1)))
 
     def test_rejects_nonpositive_order(self):
         with pytest.raises(DomainError):
@@ -217,7 +226,7 @@ class TestModelSequencePastOrderTwelve:
         [(Fraction(1, 6), -1), (Fraction(1, 3), 1), (Fraction(1, 2), 2)],
     ], ids=["two-atoms", "two-fractional-atoms", "three-atoms", "three-integer-atoms"])
     def test_every_order_through_fourteen(self, atoms):
-        rho = RhoMoments.from_atoms(atoms, 15)
+        rho = MomentSequence.from_atoms(atoms, 15)
         dist_x = compound_poisson_from_rho(rho, 14)
         models = model_cumulants(14, rho)
         assert len(models) == 14
@@ -261,7 +270,7 @@ class TestPartitionRecursions:
     @given(st.lists(_FORMAL_MOMENT, min_size=11, max_size=11))
     @example([Fraction(0), Fraction(-1), Fraction(0), Fraction(2, 3)] + [Fraction(-1, 2)] * 7)
     def test_formal_sequences_through_ten(self, moments):
-        rho = RhoMoments(tuple([Fraction(1)] + moments), genuine=False)
+        rho = MomentSequence(tuple([Fraction(1)] + moments))
         dist_x = CumulantSequence(moments[:10])
         comp = composition_formula_cumulants(10, rho)
         assert comp == [enumerated_composition_formula(n, rho) for n in range(1, 11)]
@@ -274,14 +283,14 @@ class TestPartitionRecursions:
         [(Fraction(1, 4), -2), (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 4), 3)],
     ], ids=["two-atoms", "three-atoms"])
     def test_three_routes_agree_through_twenty_four(self, atoms):
-        rho = RhoMoments.from_atoms(atoms, 25)
+        rho = MomentSequence.from_atoms(atoms, 25)
         dist_x = compound_poisson_from_rho(rho, 24)
         models = model_cumulants(24, rho)
         assert models == composition_formula_cumulants(24, rho) == closed_form_cumulants(24, dist_x)
 
     def test_pinned_orders_twenty_to_twenty_four(self):
         # three atoms, from the agreement of the model and both recursions
-        rho = RhoMoments.from_atoms(
+        rho = MomentSequence.from_atoms(
             [(Fraction(1, 4), -2), (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 4), 3)], 24)
         pinned = [Fraction(v) for v in (
             "78143610313288802833257/536870912",
@@ -303,10 +312,10 @@ class TestPartitionRecursions:
 class TestAdjointness:
     def test_moment_order_is_enough_and_enforced(self):
         for atoms in ([(1, 1)], [(Fraction(1, 2), -1), (Fraction(1, 2), 2)]):
-            rho = RhoMoments.from_atoms(atoms, ADJOINT_MOMENT_ORDER)
+            rho = MomentSequence.from_atoms(atoms, ADJOINT_MOMENT_ORDER)
             for seed in range(20):
                 assert verify_adjointness(ADJOINT_PAIRS, 20, rho, seed)
-            short = RhoMoments.from_atoms(atoms, ADJOINT_MOMENT_ORDER - 1)
+            short = MomentSequence.from_atoms(atoms, ADJOINT_MOMENT_ORDER - 1)
             with pytest.raises(TruncationError):
                 verify_adjointness(ADJOINT_PAIRS, 1, short, seed=0)
 
@@ -323,7 +332,7 @@ class TestAdjointness:
         assert not verify_adjointness([(OperatorName.XSHAT, OperatorName.XSHAT)], 50, DELTA2, seed=3)
 
     def test_requires_genuine_measure(self):
-        formal = RhoMoments(tuple([1] * 12), genuine=False)
+        formal = MomentSequence(tuple([1] * 12))
         with pytest.raises(DomainError):
             verify_adjointness(ADJOINT_PAIRS, 5, formal, seed=0)
 

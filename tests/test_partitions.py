@@ -8,12 +8,11 @@ from freecommutant.partitions import (
     assign_by_blocks,
     compose_interval,
     enumerate_partitions,
-    expansion_maps,
     is_noncrossing,
     iter_partitions,
-    join,
     joins_to_full,
 )
+from partition_oracles import join
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
@@ -222,40 +221,6 @@ class TestComposeInterval:
         for sigma in iter_partitions(n, PartitionKind.INTERVAL):
             for pi in iter_partitions(sigma.num_blocks, PartitionKind.NC):
                 assert is_noncrossing(compose_interval(pi, sigma))
-
-
-class TestExpansionMaps:
-    def test_worked_example(self):
-        em = expansion_maps(5, {2, 4})
-        assert em.tau == Partition(7, [[1], [2, 3], [4], [5, 6], [7]])
-        assert em.iota({1, 3, 4, 5}) == frozenset({1, 4, 5, 6, 7})
-
-    def test_empty_subset_is_identity(self):
-        em = expansion_maps(4, set())
-        assert em.tau == Partition.singletons(4)
-        assert em.iota({2, 4}) == frozenset({2, 4})
-        assert [em.phi(s) for s in range(1, 5)] == [1, 2, 3, 4]
-
-    def test_full_subset(self):
-        em = expansion_maps(2, {1, 2})
-        assert em.tau == Partition(4, [[1, 2], [3, 4]])
-        assert em.iota({1}) == frozenset({1, 2})
-
-    def test_phi_iota_inverse_relation(self):
-        em = expansion_maps(6, {1, 4, 6})
-        for subset in [{1}, {2, 3}, {1, 4, 5}, set(range(1, 7))]:
-            image = em.iota(subset)
-            assert {em.phi(s) for s in image} == subset
-
-    def test_tau_block_sizes(self):
-        em = expansion_maps(7, {2, 5, 7})
-        sizes = sorted(len(b) for b in em.tau.blocks)
-        assert sizes == [1, 1, 1, 1, 2, 2, 2]
-        assert em.ground_size == 10
-
-    def test_subset_out_of_range(self):
-        with pytest.raises(DomainError):
-            expansion_maps(3, {4})
 
 
 class TestAssignByBlocks:
