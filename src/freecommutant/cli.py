@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .commutator import (
     DistributionPair,
-    cancellation_sum,
+    cancellation_sums,
     closed_form_cumulants,
     cumulant_sequence_of,
     freeness_witness,
@@ -250,7 +250,6 @@ def _pair_from_args(args, order: int) -> DistributionPair:
     return DistributionPair(
         CumulantSequence.semicircular(args.s_var, max(order, 2)),
         spec.cumulants(max(order, 2)),
-        max_order=order,
     )
 
 
@@ -295,12 +294,12 @@ def _cmd_cancellation(args) -> tuple[dict, bool]:
     if order < 2:
         raise FreeCommutantError("cancellation sums start at order 2; pass --max-order >= 2")
     pair = _pair_from_args(args, order)
-    cache: dict = {}  # n -> coefficients of kappa_n(s + t(sx - xs)), shared by every cell
     entries = []
-    for n in range(2, order + 1):
+    # coefficients of t^0..t^n in kappa_n(s + t(sx - xs)); the command's s
+    # is semicircular, so every k in 1..n-1 must vanish
+    for n, coeffs in enumerate(cancellation_sums(pair, order)[1:], start=2):
         for k in range(1, n):
-            v = cancellation_sum(n, k, pair, cache=cache).re
-            v = v if entries else _perturb(v)
+            v = coeffs[k] if entries else _perturb(coeffs[k])
             entries.append({"n": n, "k": k, "value": format_rational(v), "holds": v == 0})
     ok = all(e["holds"] for e in entries)
     payload = {

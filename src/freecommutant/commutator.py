@@ -7,10 +7,11 @@ additivity verdicts comparing kappa_n(s + i[s,x]) against kappa_n(s) +
 kappa_n(i[s,x]) and kappa_n(x + i[x,s]) as the independent oracle for its
 closed form, which is also here, as a first-block recursion.  The signed
 double sums whose vanishing is equivalent to the additivity are the
-coefficients of kappa_n(s + t(sx - xs)) in t, from one t-graded pass of the
-same model and the moment-cumulant recursion over polynomials in t.  On the
-partition walk of :mod:`.cumulants`: the fourth-order witness showing s and
-i[s,x] are nevertheless not free.
+coefficients of kappa_n(s + t(sx - xs)) in t, every order from one t-graded
+pass of the same model and the moment-cumulant recursion over polynomials in
+t.  On the partition walk of :mod:`.cumulants`: the fourth-order witness
+showing s and i[s,x] are nevertheless not free.  Every requested order is
+checked against the cap that ``FREECOMMUTANT_MAX_ORDER`` sets.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from fractions import Fraction
 from .cumulants import (
     GR_I,
     GR_ONE,
+    ORDER_CAP_ENV,
     CumulantSequence,
     GaussianRational,
     Polynomial,
@@ -72,16 +74,16 @@ def perturbed_partner() -> Polynomial:
 @dataclass(frozen=True)
 class DistributionPair:
     """The standing data: cumulants of s (semicircular by default) and of a
-    free partner x, plus the order everything is computed to."""
+    free partner x."""
 
     dist_s: CumulantSequence
     dist_x: CumulantSequence
-    max_order: int = 8
 
     @classmethod
     def standard(cls, dist_x: CumulantSequence, s_variance=1,
                  max_order: int = 8) -> "DistributionPair":
-        return cls(CumulantSequence.semicircular(s_variance, max_order), dist_x, max_order)
+        """x with a semicircular s whose cumulants run to ``max_order``."""
+        return cls(CumulantSequence.semicircular(s_variance, max_order), dist_x)
 
     @property
     def semicircular_hypothesis(self) -> bool:
@@ -112,25 +114,25 @@ class AdditivityReport:
         }
 
 
-def cumulant_sequence_of(p: Polynomial, pair: DistributionPair, order: int,
-                         *, order_cap: int | None = None) -> CumulantSequence:
+def _check_order(order: int) -> None:
+    cap = resolve_order_cap()
+    if order > cap:
+        raise SizeLimitError(f"order {order} exceeds the cap {cap}; raise it via {ORDER_CAP_ENV}")
+
+
+def cumulant_sequence_of(p: Polynomial, pair: DistributionPair, order: int) -> CumulantSequence:
     """kappa_1..kappa_order of the polynomial, by inverting its moments in
     the canonical Fock model (:func:`polynomial_moments`).
 
     Imaginary parts must vanish for self-adjoint input; a violation is an
     engine bug, not a data error.
     """
-    cap = resolve_order_cap(order_cap)
-    if order > cap:
-        raise SizeLimitError(
-            f"order {order} exceeds the cap {cap} (override via order_cap)"
-        )
+    _check_order(order)
     moments = polynomial_moments(p, pair.dist_s, pair.dist_x, order)
     return cumulants_from_moments(moments, order)
 
 
-def verify_additivity(pair: DistributionPair, order: int,
-                      *, order_cap: int | None = None) -> list[AdditivityReport]:
+def verify_additivity(pair: DistributionPair, order: int) -> list[AdditivityReport]:
     """Compare kappa_n(s + i[s,x]) with kappa_n(s) + kappa_n(i[s,x]) for
     n = 1..order.
 
@@ -141,9 +143,8 @@ def verify_additivity(pair: DistributionPair, order: int,
         raise TruncationError(
             f"s cumulants available to order {pair.dist_s.max_order}, need {order}")
     hypothesis = pair.semicircular_hypothesis
-    lhs = cumulant_sequence_of(sum_with_commutator(), pair, order, order_cap=order_cap)
-    rhs_c = cumulant_sequence_of(commutator_polynomial(I_S_X), pair, order,
-                                 order_cap=order_cap)
+    lhs = cumulant_sequence_of(sum_with_commutator(), pair, order)
+    rhs_c = cumulant_sequence_of(commutator_polynomial(I_S_X), pair, order)
     return [
         AdditivityReport(
             n=n,
@@ -200,47 +201,32 @@ def _cumulants_in_t(moments: list[list[Fraction]], order: int) -> list[list[Frac
     return kappas
 
 
-def _cancellation_coefficients(n: int, pair: DistributionPair, order: int,
-                               cache: dict) -> list[Fraction]:
-    """Coefficients of t^0..t^n in kappa_n(s + t(sx - xs)).  ``cache`` maps
-    each n to that list; a miss fills it for every order up to ``order``
-    from one t-graded pass of the canonical Fock model
-    (:func:`graded_moments`)."""
-    coeffs = cache.get(n)
-    if coeffs is None:
-        moments = graded_moments(
-            [letter_polynomial(_S_WORD), Polynomial([(_SX, GR_ONE), (_XS, -GR_ONE)])],
-            pair.dist_s, pair.dist_x, order)
-        if any(c.im for m in moments for c in m):
-            raise EngineConsistencyError("real input produced an imaginary moment part")
-        kappas = _cumulants_in_t([[c.re for c in m] for m in moments], order)
-        cache.update(enumerate(kappas, start=1))
-        coeffs = cache[n]
-    return coeffs
+def cancellation_sums(pair: DistributionPair, order: int) -> list[list[Fraction]]:
+    """For n = 1..order, the coefficients of t^0..t^n in
+    kappa_n(s + t(sx - xs)), whose t^k coefficient is the double sum of
+    :func:`cancellation_sum`; all from one t-graded pass of the canonical
+    Fock model (:func:`graded_moments`).  Any s is accepted."""
+    _check_order(order)
+    moments = graded_moments(
+        [letter_polynomial(_S_WORD), Polynomial([(_SX, GR_ONE), (_XS, -GR_ONE)])],
+        pair.dist_s, pair.dist_x, order)
+    if any(c.im for m in moments for c in m):
+        raise EngineConsistencyError("real input produced an imaginary moment part")
+    return _cumulants_in_t([[c.re for c in m] for m in moments], order)
 
 
-def cancellation_sum(n: int, k: int, pair: DistributionPair,
-                     *, order_cap: int | None = None,
-                     cache: dict | None = None) -> GaussianRational:
+def cancellation_sum(n: int, k: int, pair: DistributionPair) -> GaussianRational:
     """The signed double sum over |B| = k and D subset of B of
     (-1)^|D| kappa_n(sx on B\\D, xs on D, s elsewhere); identically zero for
     semicircular s, which is exactly what makes the additivity work.  By
-    multilinearity it is the t^k coefficient of kappa_n(s + t(sx - xs)).
-    ``cache`` (caller-owned, one pair) maps each order to its coefficient
-    list; a miss fills it in one graded pass, to min(pair.max_order, cap),
-    or past that as far as the cap and the cumulants of s and x allow."""
+    multilinearity it is the t^k coefficient of kappa_n(s + t(sx - xs)),
+    read from :func:`cancellation_sums`."""
     if not 1 <= k < n:
         raise DomainError(f"need 1 <= k < n, got k={k}, n={n}")
-    cap = resolve_order_cap(order_cap)
-    if n > cap:
-        raise SizeLimitError(f"order {n} exceeds the cap {cap} (override via order_cap)")
+    _check_order(n)
     if not pair.semicircular_hypothesis:
         raise DomainError("cancellation_sum requires a semicircular s")
-    order = min(pair.max_order, cap)
-    if n > order:
-        order = max(n, min(pair.dist_s.max_order, pair.dist_x.max_order, cap))
-    coeffs = _cancellation_coefficients(n, pair, order, cache if cache is not None else {})
-    return GaussianRational(coeffs[k])
+    return GaussianRational(cancellation_sums(pair, n)[n - 1][k])
 
 
 def closed_form_cumulants(order: int, dist_x: CumulantSequence) -> list[Fraction]:
@@ -264,11 +250,10 @@ def closed_form_cumulant(n: int, dist_x: CumulantSequence) -> Fraction:
     return closed_form_cumulants(n, dist_x)[-1]
 
 
-def expansion_cumulant(n: int, dist_x: CumulantSequence, s_variance=1,
-                       *, order_cap: int | None = None) -> Fraction:
+def expansion_cumulant(n: int, dist_x: CumulantSequence, s_variance=1) -> Fraction:
     """kappa_n(x + i[x,s]) inverted from its canonical-model moments
     (:func:`cumulant_sequence_of`) — the independent oracle for
     :func:`closed_form_cumulant`; exposes the s variance, which the closed
     form normalizes to 1."""
     pair = DistributionPair.standard(dist_x, s_variance, max_order=max(n, 2))
-    return cumulant_sequence_of(perturbed_partner(), pair, n, order_cap=order_cap).kappa(n)
+    return cumulant_sequence_of(perturbed_partner(), pair, n).kappa(n)

@@ -4,12 +4,12 @@ The letters are ``s`` and ``x``, modelling two freely independent variables;
 everything is exact rational arithmetic.  Sequences come in two types,
 cumulants and moments, related by O(N^3) first-block transforms; one
 moment type serves both a law and the measure that drives the operator
-model, with a flag for sequences built from an atomic measure.  The
-central operation sums block
-products of single-variable cumulants over non-crossing partitions whose
-join with the word-grouping interval partition is full — the standard
-products-as-entries evaluation — with a pruned fast path and a deliberately
-naive unpruned oracle path.  Moments of a whole polynomial come instead from
+model, with a flag for sequences built from an atomic measure.  Joint
+cumulants of word products sum block products of single-variable cumulants
+over the non-crossing partitions whose join with the word-grouping interval
+partition is full — the standard products-as-entries evaluation — in one
+depth-first walk that skips zero blocks and branches that can no longer
+reach the full join.  Moments of a whole polynomial come instead from
 Voiculescu's canonical model on the full Fock space over {s, x}, which needs
 neither the multilinear expansion nor any partition enumeration; one pass
 of it also gives the moments of p_0 + t p_1 + ... exactly as polynomials in t.
@@ -28,12 +28,9 @@ from typing import Callable, Sequence
 from .errors import (
     DomainError,
     EngineConsistencyError,
-    GroundSetError,
-    KindError,
     SizeLimitError,
     TruncationError,
 )
-from .partitions import Partition, PartitionKind, is_noncrossing, iter_partitions, joins_to_full
 
 S = "s"
 X = "x"
@@ -46,13 +43,8 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def resolve_order_cap(cap: int | None = None) -> int:
-    """Effective order cap: explicit argument, else the environment
-    override, else the default of 8."""
-    if cap is not None:
-        if cap < 1:
-            raise DomainError(f"order cap must be positive, got {cap}")
-        return cap
+def resolve_order_cap() -> int:
+    """Effective order cap: the environment override, else the default of 8."""
     raw = os.environ.get(ORDER_CAP_ENV)
     if raw is None:
         return DEFAULT_ORDER_CAP
@@ -418,55 +410,6 @@ class Polynomial:
         return " + ".join(parts) if parts else "0"
 
 
-def kappa_block(letters: str, dist_s: CumulantSequence, dist_x: CumulantSequence) -> Fraction:
-    """Cumulant of one block: zero when mixed, else the matching variable's
-    cumulant at the block size."""
-    _check_word(letters)
-    if S in letters and X in letters:
-        return _ZERO
-    dist = dist_s if letters[0] == S else dist_x
-    return dist.kappa(len(letters))
-
-
-def kappa_pi(pi: Partition, letters: str,
-             dist_s: CumulantSequence, dist_x: CumulantSequence) -> Fraction:
-    """Block-multiplicative extension of :func:`kappa_block` over a
-    non-crossing partition."""
-    if pi.n != len(letters):
-        raise GroundSetError(f"partition of {pi.n} against {len(letters)} letters")
-    if not is_noncrossing(pi):
-        raise KindError(f"kappa_pi is defined on non-crossing partitions only: {pi!r}")
-    prod = _ONE
-    for b in pi.blocks:
-        kv = kappa_block("".join(letters[e - 1] for e in b), dist_s, dist_x)
-        if kv == 0:
-            return _ZERO
-        prod *= kv
-    return prod
-
-
-def _grouping_partition(word_lengths: Sequence[int]) -> Partition:
-    blocks = []
-    start = 1
-    for size in word_lengths:
-        blocks.append(range(start, start + size))
-        start += size
-    return Partition(start - 1, blocks)
-
-
-def _joined_cumulant_naive(words: tuple[str, ...],
-                           dist_s: CumulantSequence, dist_x: CumulantSequence) -> Fraction:
-    """Reference path: enumerate NC(L), filter by the join condition, and
-    evaluate kappa_pi term by term.  Kept dumb on purpose."""
-    letters = "".join(words)
-    sigma_hat = _grouping_partition([len(w) for w in words])
-    total = _ZERO
-    for pi in iter_partitions(len(letters), PartitionKind.NC):
-        if joins_to_full(pi, sigma_hat):
-            total += kappa_pi(pi, letters, dist_s, dist_x)
-    return total
-
-
 def _kappa_table(dist: CumulantSequence, count: int, what: str) -> list[Fraction]:
     if count > dist.max_order:
         raise TruncationError(
@@ -475,11 +418,11 @@ def _kappa_table(dist: CumulantSequence, count: int, what: str) -> list[Fraction
     return [_ZERO] + [dist.kappa(k) for k in range(1, count + 1)]
 
 
-def _joined_cumulant_pruned(words: tuple[str, ...],
-                            dist_s: CumulantSequence, dist_x: CumulantSequence) -> Fraction:
-    """Fast path: depth-first generation of non-crossing partitions through a
-    stack of open blocks, skipping any branch with a provably zero block and
-    any branch whose word-connectivity can no longer reach the full join."""
+def _joined_cumulant(words: tuple[str, ...],
+                     dist_s: CumulantSequence, dist_x: CumulantSequence) -> Fraction:
+    """Depth-first generation of non-crossing partitions through a stack of
+    open blocks, skipping any branch with a provably zero block and any
+    branch whose word-connectivity can no longer reach the full join."""
     letters = "".join(words)
     length = len(letters)
     gid: list[int] = []
@@ -596,38 +539,25 @@ def _joined_cumulant_pruned(words: tuple[str, ...],
 
 
 def cumulant_of_word_products(words: Sequence[str],
-                              dist_s: CumulantSequence, dist_x: CumulantSequence,
-                              *, pruned: bool = True,
-                              order_cap: int | None = None,
-                              cache: dict | None = None) -> Fraction:
-    """Joint cumulant of the products spelled by ``words``.
-
-    Evaluates the sum of kappa_pi over non-crossing partitions of the letter
-    positions whose join with the word-grouping interval partition is the
-    one-block partition.  ``cache`` (a dict owned by the caller) memoizes on
-    the word tuple and must not be shared across distribution pairs.
-    """
+                              dist_s: CumulantSequence, dist_x: CumulantSequence) -> Fraction:
+    """Joint cumulant of the products spelled by ``words``: the sum of the
+    block products of cumulants over the non-crossing partitions of the
+    letter positions whose join with the word-grouping interval partition is
+    the one-block partition, by :func:`_joined_cumulant`.  The letter count
+    is capped at twice the order cap."""
     tup = tuple(words)
     if not tup:
         raise DomainError("need at least one word")
     for w in tup:
         _check_word(w)
     letters_total = sum(len(w) for w in tup)
-    cap = 2 * resolve_order_cap(order_cap)
+    cap = 2 * resolve_order_cap()
     if letters_total > cap:
         raise SizeLimitError(
             f"{letters_total} letters exceeds the cap of {cap}"
-            f" (= 2x order cap; raise via {ORDER_CAP_ENV} or order_cap)"
+            f" (= 2x order cap; raise via {ORDER_CAP_ENV})"
         )
-    if cache is not None and tup in cache:
-        return cache[tup]
-    if pruned:
-        value = _joined_cumulant_pruned(tup, dist_s, dist_x)
-    else:
-        value = _joined_cumulant_naive(tup, dist_s, dist_x)
-    if cache is not None:
-        cache[tup] = value
-    return value
+    return _joined_cumulant(tup, dist_s, dist_x)
 
 
 def _canonical_rotation(words: tuple[str, ...]) -> tuple[str, ...]:
@@ -635,9 +565,8 @@ def _canonical_rotation(words: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def cumulant_of_polynomials(args: Sequence[Polynomial],
-                            dist_s: CumulantSequence, dist_x: CumulantSequence,
-                            *, order_cap: int | None = None,
-                            cache: dict | None = None) -> GaussianRational:
+                            dist_s: CumulantSequence, dist_x: CumulantSequence
+                            ) -> GaussianRational:
     """Multilinear cumulant of polynomial arguments, one per slot.
 
     Constants contribute only to the first-order cumulant (higher cumulants
@@ -646,18 +575,8 @@ def cumulant_of_polynomials(args: Sequence[Polynomial],
     rotation-invariant — before the grouped sums are evaluated.
     """
     polys = list(args)
-    n = len(polys)
-    if n == 0:
+    if not polys:
         raise DomainError("need at least one argument slot")
-    if n == 1:
-        p = polys[0]
-        total = p.constant
-        for word, coeff in p.terms:
-            val = cumulant_of_word_products(
-                (word,), dist_s, dist_x, order_cap=order_cap, cache=cache)
-            if val:
-                total = total + coeff * val
-        return total
     grouped: dict[tuple[str, ...], GaussianRational] = {}
     for choice in itertools.product(*(p.terms for p in polys)):
         coeff = GR_ONE
@@ -666,13 +585,11 @@ def cumulant_of_polynomials(args: Sequence[Polynomial],
         key = _canonical_rotation(tuple(w for w, _c in choice))
         prev = grouped.get(key)
         grouped[key] = coeff if prev is None else prev + coeff
-    local_cache = cache if cache is not None else {}
-    total = GR_ZERO
+    total = polys[0].constant if len(polys) == 1 else GR_ZERO
     for words, coeff in grouped.items():
         if not coeff:
             continue
-        val = cumulant_of_word_products(
-            words, dist_s, dist_x, order_cap=order_cap, cache=local_cache)
+        val = cumulant_of_word_products(words, dist_s, dist_x)
         if val:
             total = total + coeff * val
     return total

@@ -38,10 +38,6 @@ class OperatorName(Enum):
     XTILDE = "xtilde"
     XSTILDE = "xstilde"
     SXTILDE = "sxtilde"
-    XSHAT_U = "xshat-u"
-    XSHAT_D = "xshat-d"
-    SXHAT_U = "sxhat-u"
-    SXHAT_D = "sxhat-d"
 
 
 HAT_SUM = (OperatorName.XHAT, OperatorName.XSHAT, OperatorName.SXHAT)
@@ -137,22 +133,10 @@ def _apply_tensor(op: OperatorName, t: tuple[int, ...],
     elif op is OperatorName.XTILDE:
         if not odd:
             yield t[:-1] + (t[-1] + 1,), _ONE
-    elif op is OperatorName.XSHAT_U:
-        if not odd:
-            yield t + (1,), _ONE
-    elif op is OperatorName.XSHAT_D:
-        if not odd:
-            yield t[:-2] + (t[-2] + 1,), rho.moment(t[-1])
     elif op is OperatorName.XSHAT:
         if not odd:
             yield t + (1,), _ONE
             yield t[:-2] + (t[-2] + 1,), rho.moment(t[-1])
-    elif op is OperatorName.SXHAT_U:
-        if odd:
-            yield t[:-1] + (t[-1] + 1, 0), _ONE
-    elif op is OperatorName.SXHAT_D:
-        if odd and n > 1:
-            yield t[:-1], rho.moment(t[-1] + 1)
     elif op is OperatorName.SXHAT:
         if odd:
             yield t[:-1] + (t[-1] + 1, 0), _ONE

@@ -1,11 +1,13 @@
 """Enumerating oracles for the partition computations of the package.
 
 ``closed_form_cumulants`` and ``composition_formula_cumulants`` compute the
-two partition sums of x + i[x,s] by first-block recursions; the functions
-here enumerate the partitions themselves, one order at a time, so the two
-routes share nothing but the moment and cumulant inputs.  The NC(k) families
-grow like the Catalan numbers: keep n at 14 or below.  ``join`` builds the
-lattice join that ``joins_to_full`` decides without materializing.
+two partition sums of x + i[x,s] by first-block recursions, and
+``cumulant_of_word_products`` sums over the joining partitions by a pruned
+depth-first walk; the functions here enumerate the partitions themselves,
+one at a time, so each pair of routes shares nothing but the moment and
+cumulant inputs.  The NC(k) families grow like the Catalan numbers: keep n
+at 14 or below.  ``join`` builds the lattice join that ``joins_to_full``
+decides without materializing.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from freecommutant.cumulants import CumulantSequence, MomentSequence, over_common_denominator
-from freecommutant.errors import DomainError, GroundSetError
-from freecommutant.partitions import Partition, PartitionKind, iter_partitions
+from freecommutant.cumulants import S, X, CumulantSequence, MomentSequence, over_common_denominator
+from freecommutant.errors import DomainError, GroundSetError, KindError
+from freecommutant.partitions import Partition, PartitionKind, is_noncrossing, iter_partitions
 
 
 def join(p: Partition, q: Partition) -> Partition:
@@ -40,6 +42,83 @@ def join(p: Partition, q: Partition) -> Partition:
     for e in range(1, p.n + 1):
         groups.setdefault(find(e), []).append(e)
     return Partition(p.n, groups.values())
+
+
+def joins_to_full(p: Partition, q: Partition) -> bool:
+    """Whether join(p, q) is the one-block partition; short-circuits through
+    union-find without materializing the join."""
+    if p.n != q.n:
+        raise GroundSetError(f"join over mismatched ground sets: {p.n} vs {q.n}")
+    parent = list(range(p.n + 1))
+    remaining = p.n
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for part in (p, q):
+        for b in part.blocks:
+            r = find(b[0])
+            for e in b[1:]:
+                re = find(e)
+                if re != r:
+                    parent[re] = r
+                    remaining -= 1
+                    if remaining == 1:
+                        return True
+    return remaining == 1
+
+
+def kappa_block(letters: str, dist_s: CumulantSequence, dist_x: CumulantSequence) -> Fraction:
+    """Cumulant of one block: zero when mixed, else the matching variable's
+    cumulant at the block size."""
+    if S in letters and X in letters:
+        return Fraction(0)
+    dist = dist_s if letters[0] == S else dist_x
+    return dist.kappa(len(letters))
+
+
+def kappa_pi(pi: Partition, letters: str,
+             dist_s: CumulantSequence, dist_x: CumulantSequence) -> Fraction:
+    """Block-multiplicative extension of :func:`kappa_block` over a
+    non-crossing partition."""
+    if pi.n != len(letters):
+        raise GroundSetError(f"partition of {pi.n} against {len(letters)} letters")
+    if not is_noncrossing(pi):
+        raise KindError(f"kappa_pi is defined on non-crossing partitions only: {pi!r}")
+    prod = Fraction(1)
+    for b in pi.blocks:
+        kv = kappa_block("".join(letters[e - 1] for e in b), dist_s, dist_x)
+        if kv == 0:
+            return Fraction(0)
+        prod *= kv
+    return prod
+
+
+def grouping_partition(word_lengths: Sequence[int]) -> Partition:
+    """The interval partition of the letter positions into words."""
+    blocks = []
+    start = 1
+    for size in word_lengths:
+        blocks.append(range(start, start + size))
+        start += size
+    return Partition(start - 1, blocks)
+
+
+def joined_cumulant_naive(words: tuple[str, ...],
+                          dist_s: CumulantSequence, dist_x: CumulantSequence) -> Fraction:
+    """Joint cumulant of the products spelled by ``words``: enumerate NC(L),
+    filter by the join condition, and evaluate kappa_pi term by term.  Kept
+    dumb on purpose."""
+    letters = "".join(words)
+    sigma_hat = grouping_partition([len(w) for w in words])
+    total = Fraction(0)
+    for pi in iter_partitions(len(letters), PartitionKind.NC):
+        if joins_to_full(pi, sigma_hat):
+            total += kappa_pi(pi, letters, dist_s, dist_x)
+    return total
 
 
 def enumerated_closed_form(n: int, dist_x: CumulantSequence) -> Fraction:

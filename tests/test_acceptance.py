@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from freecommutant.commutator import (
     DistributionPair,
-    cancellation_sum,
+    cancellation_sums,
     closed_form_cumulant,
     cumulant_sequence_of,
     expansion_cumulant,
@@ -38,6 +38,7 @@ from freecommutant.partitions import (
     compose_interval,
     enumerate_partitions,
 )
+from partition_oracles import joined_cumulant_naive
 
 ORDER = 8
 
@@ -72,7 +73,7 @@ CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 
 def test_criterion_1_additivity():
     for (x_name, dist_x), s_var in itertools.product(X_SUITE.items(), S_VARIANCES):
-        pair = DistributionPair(CumulantSequence.semicircular(s_var, ORDER), dist_x, ORDER)
+        pair = DistributionPair(CumulantSequence.semicircular(s_var, ORDER), dist_x)
         for report in verify_additivity(pair, ORDER):
             assert report.holds, (
                 f"additivity fails: x={x_name}, s_var={s_var}, n={report.n}: "
@@ -82,7 +83,7 @@ def test_criterion_1_additivity():
 
 def test_criterion_2_nonfreeness_witness():
     for (x_name, dist_x), s_var in itertools.product(X_SUITE.items(), S_VARIANCES):
-        pair = DistributionPair(CumulantSequence.semicircular(s_var, ORDER), dist_x, ORDER)
+        pair = DistributionPair(CumulantSequence.semicircular(s_var, ORDER), dist_x)
         witness = freeness_witness(pair)
         expected = Fraction(s_var) ** 2 * dist_x.kappa(2)
         assert witness == expected, (x_name, s_var, witness, expected)
@@ -93,11 +94,11 @@ def test_criterion_2_nonfreeness_witness():
 
 def test_criterion_3_cancellation():
     for (x_name, dist_x), s_var in itertools.product(X_SUITE.items(), S_VARIANCES):
-        pair = DistributionPair(CumulantSequence.semicircular(s_var, ORDER), dist_x, ORDER)
-        cache = {}
+        pair = DistributionPair(CumulantSequence.semicircular(s_var, ORDER), dist_x)
+        sums = cancellation_sums(pair, 7)
         for n in range(2, 8):
             for k in range(1, n):
-                value = cancellation_sum(n, k, pair, cache=cache)
+                value = sums[n - 1][k]
                 assert not value, (
                     f"cancellation fails: x={x_name}, s_var={s_var}, (n,k)=({n},{k}),"
                     f" value={value}")
@@ -191,8 +192,8 @@ def test_criterion_8_engine_soundness():
     tuples = [t for m in range(1, 5) for t in itertools.product(pool, repeat=m)]
     for tup in tuples:
         for dist_s, dist_x in dists:
-            pruned = cumulant_of_word_products(tup, dist_s, dist_x, pruned=True)
-            naive = cumulant_of_word_products(tup, dist_s, dist_x, pruned=False)
+            pruned = cumulant_of_word_products(tup, dist_s, dist_x)
+            naive = joined_cumulant_naive(tup, dist_s, dist_x)
             assert pruned == naive, (tup, pruned, naive)
             if len(tup) > 1:
                 for r in range(1, len(tup)):

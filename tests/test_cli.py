@@ -366,6 +366,17 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["entries"][0]["order"] == 10
 
+    @pytest.mark.parametrize("kind,n", [
+        ("all", 11), ("nc", 12), ("nc-irreducible", 13), ("interval", 18),
+        ("interval-min2", 25)])
+    def test_partitions_above_the_bound_are_usage_errors(self, capsys, monkeypatch, kind, n):
+        # the bounds hold whatever order cap is set
+        monkeypatch.setenv("FREECOMMUTANT_MAX_ORDER", "40")
+        code, out, err = run_main(["partitions", "--n", str(n), "--kind", kind], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"<= {n - 1}, got {n}" in err and "Traceback" not in err
+
     def test_env_override_raises_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("FREECOMMUTANT_MAX_ORDER", "10")
         # point mass x makes the commutator vanish, so order 9 stays cheap

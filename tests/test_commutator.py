@@ -4,14 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freecommutant import commutator
+from freecommutant import cli, commutator
 from freecommutant.commutator import (
     I_S_X,
     I_X_S,
     AdditivityReport,
     DistributionPair,
-    _cancellation_coefficients,
     cancellation_sum,
+    cancellation_sums,
     closed_form_cumulant,
     commutator_polynomial,
     cumulant_sequence_of,
@@ -75,7 +75,7 @@ def per_t_coefficients(n, pair):
     for t in range(n + 1):
         p = Polynomial([("s", GR_ONE), ("sx", GaussianRational.of(t)),
                         ("xs", GaussianRational.of(-t))])
-        values.append(cumulant_sequence_of(p, pair, n, order_cap=n).kappa(n))
+        values.append(cumulant_sequence_of(p, pair, n).kappa(n))
     return _coefficients_from_values(values)
 
 
@@ -127,7 +127,7 @@ class TestCumulantSequenceOf:
     def test_imaginary_parts_vanish_for_self_adjoint_suite(self):
         pair = DistributionPair(GENERIC_S := CumulantSequence(
             [Fraction(1, 3), 2, Fraction(-1, 2), 1, 0, 2], ), CumulantSequence(
-            [Fraction(1, 2), Fraction(1, 4), 0, Fraction(-1, 16), 3, -2]), 6)
+            [Fraction(1, 2), Fraction(1, 4), 0, Fraction(-1, 16), 3, -2]))
         for p in (letter_polynomial("s"), letter_polynomial("x"),
                   commutator_polynomial(I_S_X), perturbed_partner()):
             # raises EngineConsistencyError if any imaginary part survives
@@ -154,7 +154,7 @@ class TestAdditivity:
 
     def test_exploratory_mode_flags_hypothesis(self):
         quartic_s = CumulantSequence([0, 1, 0, 1, 0, 0], )
-        pair = DistributionPair(quartic_s, FP1, 4)
+        pair = DistributionPair(quartic_s, FP1)
         reports = verify_additivity(pair, 4)
         assert all(not r.hypothesis_met for r in reports)
 
@@ -162,7 +162,7 @@ class TestAdditivity:
         # negative control: a free Poisson in place of the semicircular
         # element breaks the comparison at third order, so the verdicts
         # are not vacuous
-        pair = DistributionPair(FP1, FP1, 4)
+        pair = DistributionPair(FP1, FP1)
         reports = verify_additivity(pair, 4)
         assert reports[0].holds and reports[1].holds
         assert not reports[2].holds
@@ -177,21 +177,29 @@ class TestAdditivityPastTheExpansion:
     """Orders the 3^n expansion cannot reach in a test run."""
 
     @pytest.mark.parametrize("s_var", [1, 2])
-    def test_order_10_over_the_x_suite(self, s_var):
+    def test_order_10_over_the_x_suite(self, s_var, monkeypatch):
+        monkeypatch.setenv("FREECOMMUTANT_MAX_ORDER", "10")
         for dist_x in x_suite(10):
             pair = DistributionPair.standard(dist_x, s_var, 10)
-            reports = verify_additivity(pair, 10, order_cap=10)
+            reports = verify_additivity(pair, 10)
             assert all(r.holds for r in reports), dist_x
             assert any(r.rhs_c for r in reports), dist_x  # the commutator is not 0
 
-    def test_order_12(self):
+    def test_order_12(self, monkeypatch):
+        monkeypatch.setenv("FREECOMMUTANT_MAX_ORDER", "12")
         pair = DistributionPair.standard(atomic_third(12), 2, 12)
-        assert all(r.holds for r in verify_additivity(pair, 12, order_cap=12))
+        assert all(r.holds for r in verify_additivity(pair, 12))
 
-    def test_order_cap_still_applies(self):
+    def test_order_cap_still_applies(self, monkeypatch):
+        monkeypatch.delenv("FREECOMMUTANT_MAX_ORDER", raising=False)
         pair = DistributionPair.standard(CumulantSequence.free_poisson(1, 9), 1, 9)
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(SizeLimitError) as err:
             verify_additivity(pair, 9)
+        # the one setting that raises the cap is named; no per-call override exists
+        assert "FREECOMMUTANT_MAX_ORDER" in str(err.value)
+        assert "order_cap" not in str(err.value)
+        monkeypatch.setenv("FREECOMMUTANT_MAX_ORDER", "9")
+        assert len(verify_additivity(pair, 9)) == 9
 
 
 class TestFreenessWitness:
@@ -204,13 +212,13 @@ class TestFreenessWitness:
 
     def test_variances_multiply(self):
         x = CumulantSequence([0, 3, 0, 0])
-        pair = DistributionPair(CumulantSequence.semicircular(2, 4), x, 4)
+        pair = DistributionPair(CumulantSequence.semicircular(2, 4), x)
         assert freeness_witness(pair) == 12
 
     def test_positive_whenever_variances_are(self):
         for x in (bernoulli_half(), FP1, atomic_third()):
             for s_var in (1, 2, Fraction(1, 3)):
-                pair = DistributionPair(CumulantSequence.semicircular(s_var, 8), x, 4)
+                pair = DistributionPair(CumulantSequence.semicircular(s_var, 8), x)
                 assert freeness_witness(pair) == Fraction(s_var) ** 2 * x.kappa(2) > 0
 
     def test_scaling_in_x_is_quadratic(self):
@@ -235,13 +243,12 @@ class TestCancellation:
 
     def test_all_small_orders_vanish(self):
         pair = DistributionPair.standard(atomic_third(), 1, 8)
-        cache = {}
         for n in range(2, 6):
             for k in range(1, n):
-                assert not cancellation_sum(n, k, pair, cache=cache)
+                assert not cancellation_sum(n, k, pair)
 
     def test_requires_semicircular_s(self):
-        pair = DistributionPair(CumulantSequence([1, 1, 1, 1]), FP1, 4)
+        pair = DistributionPair(CumulantSequence([1, 1, 1, 1]), FP1)
         with pytest.raises(DomainError):
             cancellation_sum(3, 1, pair)
 
@@ -256,7 +263,7 @@ class TestCancellation:
         assert isinstance(value, GaussianRational)
         assert value.is_real
 
-    def test_cache_grows_past_the_pair_order(self, monkeypatch):
+    def test_command_makes_one_graded_pass(self, capsys, monkeypatch):
         passes = []
 
         def counted(*args, **kwargs):
@@ -264,24 +271,29 @@ class TestCancellation:
             return graded_moments(*args, **kwargs)
 
         monkeypatch.setattr(commutator, "graded_moments", counted)
-        pair = DistributionPair(CumulantSequence.semicircular(1, 6), FP1, 3)
-        cache = {}
-        assert not cancellation_sum(2, 1, pair, cache=cache)
-        assert sorted(cache) == [1, 2, 3]  # filled to the pair's order at once
-        for n in range(2, 7):
-            for k in range(1, n):
-                assert not cancellation_sum(n, k, pair, cache=cache)
-        # the first miss past the pair's order fills as far as s allows
-        assert passes == [3, 6]
-        assert sorted(cache) == [1, 2, 3, 4, 5, 6]
-        assert all(len(coeffs) == n + 1 for n, coeffs in cache.items())
-        assert cache[6] == per_t_coefficients(6, pair)
+        monkeypatch.delenv("FREECOMMUTANT_MAX_ORDER", raising=False)
+        assert cli.main(["cancellation", "--x", "atomic(1/3:-1,2/3:2)",
+                         "--max-order", "8"]) == 0
+        capsys.readouterr()
+        assert passes == [8]  # every cell of orders 2..8 from one pass
 
-    def test_order_cap_applies_to_n(self):
+    def test_sums_hold_every_order_up_to_the_one_asked(self):
+        pair = DistributionPair(CumulantSequence.semicircular(1, 6), FP1)
+        sums = cancellation_sums(pair, 6)
+        assert [len(coeffs) for coeffs in sums] == [2, 3, 4, 5, 6, 7]
+        assert sums[5] == per_t_coefficients(6, pair)
+        assert all(not coeffs[k] for n, coeffs in enumerate(sums, start=1)
+                   for k in range(1, n))
+
+    def test_order_cap_applies_to_n(self, monkeypatch):
+        monkeypatch.delenv("FREECOMMUTANT_MAX_ORDER", raising=False)
         pair = DistributionPair.standard(CumulantSequence.free_poisson(1, 9), 1, 9)
-        assert not cancellation_sum(8, 3, pair)  # the pair's order is above the cap
-        with pytest.raises(SizeLimitError):
+        assert not cancellation_sum(8, 3, pair)  # the cumulants reach past the cap
+        with pytest.raises(SizeLimitError) as err:
             cancellation_sum(9, 3, pair)
+        assert "FREECOMMUTANT_MAX_ORDER" in str(err.value)
+        with pytest.raises(SizeLimitError):
+            cancellation_sums(pair, 9)
 
 
 class TestCoefficientsFromValues:
@@ -316,18 +328,16 @@ class TestCancellationAgainstTheWalk:
         return sums
 
     def test_coefficients_equal_walk_sums(self):
-        pair = DistributionPair(self.S, self.X, 5)
-        cache = {}
+        pair = DistributionPair(self.S, self.X)
         nonzero_even = 0
-        for n in range(1, 6):
-            coeffs = _cancellation_coefficients(n, pair, 5, cache)
+        for n, coeffs in enumerate(cancellation_sums(pair, 5), start=1):
             assert coeffs == self.walk_sums(n), n
             nonzero_even += sum(1 for k in range(2, n, 2) if coeffs[k])
         assert nonzero_even >= 2  # an extractor returning 0 would fail
 
     def test_guard_still_refuses_this_pair(self):
         with pytest.raises(DomainError):
-            cancellation_sum(3, 2, DistributionPair(self.S, self.X, 5))
+            cancellation_sum(3, 2, DistributionPair(self.S, self.X))
 
 
 class TestCancellationAgainstPerT:
@@ -340,11 +350,9 @@ class TestCancellationAgainstPerT:
                           Fraction(-5, 3), 2])
 
     def test_coefficients_equal_per_t_values(self):
-        pair = DistributionPair(self.S, self.X, 8)
-        cache = {}
+        pair = DistributionPair(self.S, self.X)
         nonzero_even = 0
-        for n in range(1, 9):
-            coeffs = _cancellation_coefficients(n, pair, 8, cache)
+        for n, coeffs in enumerate(cancellation_sums(pair, 8), start=1):
             assert coeffs == per_t_coefficients(n, pair), n
             nonzero_even += sum(1 for k in range(2, n, 2) if coeffs[k])
         assert nonzero_even >= 2
@@ -365,29 +373,33 @@ class TestExpansionAgainstTheWalk:
 class TestPastTheWalkHorizon:
     """Orders the partition walk cannot reach in a test run."""
 
-    def test_cancellation_vanishes_through_order_10(self):
+    def test_cancellation_vanishes_through_order_10(self, monkeypatch):
+        monkeypatch.setenv("FREECOMMUTANT_MAX_ORDER", "10")
         pair = DistributionPair.standard(atomic_third(10), 2, 10)
-        cache = {}
+        sums = cancellation_sums(pair, 10)
         for n in range(2, 11):
             for k in range(1, n):
-                assert not cancellation_sum(n, k, pair, order_cap=10, cache=cache), (n, k)
+                assert not sums[n - 1][k], (n, k)
+        assert not cancellation_sum(10, 5, pair)
         # the top coefficient is kappa_10(sx - xs), which does not vanish
-        assert _cancellation_coefficients(10, pair, 10, cache)[10]
+        assert sums[9][10]
 
-    def test_cancellation_vanishes_through_order_12(self):
+    def test_cancellation_vanishes_through_order_12(self, monkeypatch):
+        monkeypatch.setenv("FREECOMMUTANT_MAX_ORDER", "12")
         pair = DistributionPair.standard(CumulantSequence.free_poisson(1, 12), Fraction(1, 2), 12)
-        cache = {}
+        sums = cancellation_sums(pair, 12)
         for n in range(2, 13):
             for k in range(1, n):
-                assert not cancellation_sum(n, k, pair, order_cap=12, cache=cache), (n, k)
+                assert not sums[n - 1][k], (n, k)
         # the top coefficient is kappa_12(sx - xs), which does not vanish
-        assert _cancellation_coefficients(12, pair, 12, cache)[12]
+        assert sums[11][12]
 
-    def test_closed_form_equals_expansion_nine_to_twelve(self):
+    def test_closed_form_equals_expansion_nine_to_twelve(self, monkeypatch):
+        monkeypatch.setenv("FREECOMMUTANT_MAX_ORDER", "12")
         for dist_x in x_suite(12):
             for n in range(9, 13):
                 assert closed_form_cumulant(n, dist_x) == expansion_cumulant(
-                    n, dist_x, 1, order_cap=12), (dist_x, n)
+                    n, dist_x, 1), (dist_x, n)
 
 
 class TestClosedForm:
@@ -464,7 +476,8 @@ class TestMomentRouteCrossCheck:
     for a single word), then inverting the moment-cumulant relation."""
 
     @staticmethod
-    def moments_by_trace(p, order, pair, cache):
+    def moments_by_trace(p, order, pair):
+        traces = {}  # one walk per distinct word
         values = [Fraction(1)]
         for n in range(1, order + 1):
             total = GR_ZERO
@@ -473,8 +486,9 @@ class TestMomentRouteCrossCheck:
                 for _w, c in choice:
                     coeff = coeff * c
                 word = "".join(w for w, _c in choice)
-                total = total + coeff * cumulant_of_word_products(
-                    (word,), pair.dist_s, pair.dist_x, cache=cache)
+                if word not in traces:
+                    traces[word] = cumulant_of_word_products((word,), pair.dist_s, pair.dist_x)
+                total = total + coeff * traces[word]
             assert total.is_real
             values.append(total.re)
         return MomentSequence(values)
@@ -487,6 +501,5 @@ class TestMomentRouteCrossCheck:
     def test_trace_moments_invert_to_engine_cumulants(self, poly):
         for dist_x in (FP1, bernoulli_half()):
             pair = DistributionPair.standard(dist_x, 1, 6)
-            cache = {}
-            m = self.moments_by_trace(poly, 6, pair, cache)
+            m = self.moments_by_trace(poly, 6, pair)
             assert cumulants_from_moments(m, 6) == cumulant_sequence_of(poly, pair, 6)

@@ -17,8 +17,6 @@ from freecommutant.cumulants import (
     cumulant_of_word_products,
     cumulants_from_moments,
     graded_moments,
-    kappa_block,
-    kappa_pi,
     moments_from_cumulants,
     over_common_denominator,
     polynomial_moments,
@@ -31,6 +29,7 @@ from freecommutant.errors import (
     TruncationError,
 )
 from freecommutant.partitions import Partition, PartitionKind, iter_partitions
+from partition_oracles import joined_cumulant_naive, kappa_block, kappa_pi
 
 STD_S = CumulantSequence.semicircular(1, 10)
 FP1 = CumulantSequence.free_poisson(1, 10)
@@ -272,13 +271,6 @@ class TestWordCumulants:
         with pytest.raises(DomainError):
             cumulant_of_word_products((), STD_S, FP1)
 
-    def test_cache_is_honoured(self):
-        cache = {}
-        v1 = cumulant_of_word_products(("sx", "xs"), STD_S, FP1, cache=cache)
-        assert ("sx", "xs") in cache
-        v2 = cumulant_of_word_products(("sx", "xs"), STD_S, FP1, cache=cache)
-        assert v1 == v2
-
 
 def _word_tuples(max_letters):
     pool = ["s", "x", "sx", "xs", "xx", "ss"]
@@ -301,8 +293,8 @@ class TestPrunedEqualsUnpruned:
         selected = [t for t in tuples if sum(map(len, t)) <= 6]
         selected += rng.sample([t for t in tuples if sum(map(len, t)) > 6], 120)
         for tup in selected:
-            p = cumulant_of_word_products(tup, s, x, pruned=True)
-            u = cumulant_of_word_products(tup, s, x, pruned=False)
+            p = cumulant_of_word_products(tup, s, x)
+            u = joined_cumulant_naive(tup, s, x)
             assert p == u, tup
 
 
@@ -320,8 +312,8 @@ class TestPrunedEqualsUnprunedProperty:
     def test_random_distributions(self, tup, ks, kx):
         dist_s = CumulantSequence(ks)
         dist_x = CumulantSequence(kx)
-        pruned = cumulant_of_word_products(tup, dist_s, dist_x, pruned=True)
-        naive = cumulant_of_word_products(tup, dist_s, dist_x, pruned=False)
+        pruned = cumulant_of_word_products(tup, dist_s, dist_x)
+        naive = joined_cumulant_naive(tup, dist_s, dist_x)
         assert pruned == naive
 
 

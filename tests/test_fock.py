@@ -104,18 +104,6 @@ class TestApply:
                 for t, _ in out.items():
                     assert abs(len(t) - n) <= 1
 
-    def test_split_consistency(self):
-        for exps in small_tensors():
-            v = FockVector([(exps, Fraction(2, 3))])
-            whole = apply(OperatorName.XSHAT, v, HALF_DELTA3)
-            parts = (apply(OperatorName.XSHAT_U, v, HALF_DELTA3)
-                     + apply(OperatorName.XSHAT_D, v, HALF_DELTA3))
-            assert whole == parts
-            whole = apply(OperatorName.SXHAT, v, HALF_DELTA3)
-            parts = (apply(OperatorName.SXHAT_U, v, HALF_DELTA3)
-                     + apply(OperatorName.SXHAT_D, v, HALF_DELTA3))
-            assert whole == parts
-
     def test_linearity(self):
         u = FockVector([((1, 0), Fraction(1, 2)), ((0,), 1)])
         v = FockVector([((1, 0), 1), ((2, 0, 1), Fraction(-1, 3))])

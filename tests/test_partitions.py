@@ -10,9 +10,8 @@ from freecommutant.partitions import (
     enumerate_partitions,
     is_noncrossing,
     iter_partitions,
-    joins_to_full,
 )
-from partition_oracles import join
+from partition_oracles import join, joins_to_full
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
@@ -119,12 +118,14 @@ class TestEnumeration:
         assert first == second
 
     def test_caps_enforced_and_named(self):
-        with pytest.raises(SizeLimitError) as err:
-            enumerate_partitions(17, PartitionKind.NC)
-        assert "16" in str(err.value)
-        with pytest.raises(SizeLimitError) as err:
-            next(iter_partitions(14, PartitionKind.ALL))
-        assert "13" in str(err.value)
+        # each kind starts at its bound and refuses one past it, naming the bound
+        for kind, cap in [(PartitionKind.ALL, 10), (PartitionKind.NC, 11),
+                          (PartitionKind.NC_IRREDUCIBLE, 12), (PartitionKind.INTERVAL, 17),
+                          (PartitionKind.INTERVAL_MIN2, 24)]:
+            assert next(iter_partitions(cap, kind)).n == cap
+            with pytest.raises(SizeLimitError) as err:
+                next(iter_partitions(cap + 1, kind))
+            assert f"<= {cap}," in str(err.value)
         with pytest.raises(SizeLimitError):
             enumerate_partitions(0, PartitionKind.NC)
 
