@@ -9,6 +9,7 @@ counterexample, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -180,7 +181,10 @@ def _rational(text: str) -> Fraction:
             f"expected an exact rational, got {text!r}") from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first :func:`main` of a process and reused:
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="freecommutant",
         description="Exact verification of commutator-distribution identities.",
@@ -430,9 +434,13 @@ def _cmd_partitions(args) -> tuple[dict, bool]:
 def _cmd_cumulants(args) -> tuple[dict, bool]:
     order = _order_or_die(args.max_order)
     spec = parse_spec(args.x)
-    seq = spec.cumulants(order)
     # an atomic spec has its moments already; the others only their cumulants
-    moments = spec.rho(order) if spec.kind == "atomic" else moments_from_cumulants(seq, order)
+    if spec.kind == "atomic":
+        moments = spec.rho(order)
+        seq = cumulants_from_moments(moments, order)
+    else:
+        seq = spec.cumulants(order)
+        moments = moments_from_cumulants(seq, order)
     payload = {
         "command": "cumulants",
         "x": args.x,

@@ -11,7 +11,8 @@ coefficients of kappa_n(s + t(sx - xs)) in t, every order from one t-graded
 pass of the same model and the moment-cumulant recursion over polynomials in
 t.  On the partition walk of :mod:`.cumulants`: the fourth-order witness
 showing s and i[s,x] are nevertheless not free.  Every requested order is
-checked against the cap that ``FREECOMMUTANT_MAX_ORDER`` sets.
+checked against the cap that ``FREECOMMUTANT_MAX_ORDER`` sets; the witness
+has a fixed order and requests none.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .cumulants import (
     cumulant_of_polynomials,
     composition_series,
     cumulants_from_moments,
+    dilate,
+    dilation,
     first_block_sum,
     format_rational,
     graded_moments,
@@ -167,7 +170,7 @@ def freeness_witness(pair: DistributionPair) -> Fraction:
     return real_cumulant(value, self_adjoint=True)
 
 
-def _add_product(acc: list[Fraction], a: list[Fraction], b: list[Fraction]) -> None:
+def _add_product(acc: list[int], a: list[int], b: list[int]) -> None:
     """acc += a * b for polynomials in t given by their coefficient lists."""
     for i, u in enumerate(a):
         if u:
@@ -180,25 +183,28 @@ def _cumulants_in_t(moments: list[list[Fraction]], order: int) -> list[list[Frac
     """kappa_1(t)..kappa_order(t) as coefficient lists, from moments m_j(t)
     of degree <= j in t: the recursion of :func:`cumulants_from_moments`,
     kappa_n = m_n - sum_(k<n) kappa_k [z^(n-k)] M(z)^k, over polynomials in
-    t.  The table entry [z^j] M(z)^k has degree <= j, so kappa_n has
-    degree <= n."""
-    powers: list[list[list[Fraction]]] = [[[Fraction(1)]]]
+    t with every coefficient of m_j dilated as a value of index j
+    (:func:`dilation`).  The table entry [z^j] M(z)^k has degree <= j, so
+    kappa_n has degree <= n."""
+    d = dilation([math.lcm(*(c.denominator for c in mj)) for mj in moments])
+    m = [[c.numerator * (d ** j // c.denominator) for c in mj] for j, mj in enumerate(moments)]
+    powers: list[list[list[int]]] = [[[1]]]
     for n in range(1, order + 1):
         powers[0].append([])
         for k in range(1, n):
             j = n - k
-            entry = [Fraction(0)] * (j + 1)
+            entry = [0] * (j + 1)
             for t in range(j + 1):
-                _add_product(entry, moments[t], powers[k - 1][j - t])
+                _add_product(entry, m[t], powers[k - 1][j - t])
             powers[k].append(entry)
-        powers.append([[Fraction(1)]])
-    kappas: list[list[Fraction]] = []
+        powers.append([[1]])
+    kappas: list[list[int]] = []
     for n in range(1, order + 1):
-        value = list(moments[n])
+        value = list(m[n])
         for k in range(1, n):
             _add_product(value, [-c for c in kappas[k - 1]], powers[k][n - k])
         kappas.append(value)
-    return kappas
+    return [[Fraction(c, d ** n) for c in value] for n, value in enumerate(kappas, start=1)]
 
 
 def cancellation_sums(pair: DistributionPair, order: int) -> list[list[Fraction]]:
@@ -238,10 +244,10 @@ def closed_form_cumulants(order: int, dist_x: CumulantSequence) -> list[Fraction
     over the :func:`composition_series` of the x cumulants: over the
     C(a-b-1, b-1) layouts of the first block, its first part sums to a/b
     times their count.  O(order^3) for the whole sequence."""
-    kappas = [Fraction(0)] + [dist_x.kappa(k) for k in range(1, order + 1)]
+    kappas, d = dilate([Fraction(0)] + [dist_x.kappa(k) for k in range(1, order + 1)])
     _series, powers = composition_series(kappas, order)
-    return [kappas[n] + first_block_sum(
-        kappas, powers, n, lambda a, b: a * math.comb(a - b - 1, b - 1) // b)
+    return [Fraction(kappas[n] + first_block_sum(
+        kappas, powers, n, lambda a, b: a * math.comb(a - b - 1, b - 1) // b), d ** n)
         for n in range(1, order + 1)]
 
 

@@ -1,7 +1,11 @@
 """Exact free-cumulant calculus for words and polynomials in two letters.
 
 The letters are ``s`` and ``x``, modelling two freely independent variables;
-everything is exact rational arithmetic.  Sequences come in two types,
+every value is an exact rational.  Inside the loops the arithmetic is on
+integers: the transforms and the composition series work on sequences
+dilated by one factor (:func:`dilate`), the canonical model carries one
+running denominator, and ``Fraction`` appears only where values come in and
+where each output is divided once.  Sequences come in two types,
 cumulants and moments, related by O(N^3) first-block transforms; one
 moment type serves both a law and the measure that drives the operator
 model, with a flag for sequences built from an atomic measure.  Joint
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -74,6 +79,24 @@ def over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]
     end."""
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def dilation(denominators: Sequence[int]) -> int:
+    """A d with d^k divisible by ``denominators[k]`` for every k; the first
+    must be 1.  Grown a factor at a time, by what d^k still lacks."""
+    d = 1
+    for k, den in enumerate(denominators):
+        d *= den // math.gcd(d ** k, den)
+    return d
+
+
+def dilate(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The integers d^k values[k], and d (see :func:`dilation`).  A sum of
+    products of values whose indices add up to n is then d^n times the same
+    sum over the integers, so a recursion homogeneous in the index runs on
+    ints and divides by d^n once per output."""
+    d = dilation([v.denominator for v in values])
+    return [v.numerator * (d ** k // v.denominator) for k, v in enumerate(values)], d
 
 
 def format_rational(value: Fraction) -> str:
@@ -251,32 +274,24 @@ class MomentSequence:
         return f"MomentSequence({[str(v) for v in self.values]})"
 
 
-def _extend_powers(powers: list[list[Fraction]], m: list[Fraction], n: int, rows: int) -> None:
+def _extend_powers(powers: list[list[int]], m: list[int], n: int, rows: int) -> None:
     """Add rows 1..rows of the diagonal k + j = n to the table
-    powers[k][j] = [z^j] M(z)^k, where M(z) = sum_t m_t z^t.
+    powers[k][j] = [z^j] M(z)^k, where M(z) = sum_t m_t z^t over integers.
 
     Each new entry is one convolution of the moments with the row below,
     [z^j] M^k = sum_t m_t [z^(j-t)] M^(k-1), which only needs m_0..m_(n-1)
     and diagonals below n; row n starts at [z^0] M^n = 1.  A row left out
     of a diagonal must be left out of every later one.
     """
-    powers[0].append(_ZERO)
+    powers[0].append(0)
     for k in range(1, min(n, rows + 1)):
-        below = powers[k - 1]
         j = n - k
-        total = _ZERO
-        for t in range(j + 1):
-            mt = m[t]
-            if mt != 0:
-                b = below[j - t]
-                if b != 0:
-                    total += mt * b
-        powers[k].append(total)
-    powers.append([_ONE])
+        powers[k].append(sum(map(operator.mul, m[:j + 1], powers[k - 1][j::-1])))
+    powers.append([1])
 
 
-def composition_series(values: Sequence[Fraction], order: int
-                       ) -> tuple[list[Fraction], list[list[Fraction]]]:
+def composition_series(values: Sequence[int], order: int
+                       ) -> tuple[list[int], list[list[int]]]:
     """F_0..F_order of F(z) = sum_n F_n z^n, and the table
     powers[k][j] = [z^j] F(z)^k for j <= order - 2k: every entry that a
     :func:`first_block_sum` up to ``order`` reads.
@@ -286,11 +301,13 @@ def composition_series(values: Sequence[Fraction], order: int
     ``values`` at the block's summed part size.  The block of the first part
     has b parts of total a, in C(a-b-1, b-1) ways, and each gap after them
     holds the same kind of configuration (Nica-Speicher, Lectures 10-11).
+    Integers in, integers out: F_n is homogeneous of degree n in the index,
+    so the values of a :func:`dilate` give the F_n of the rationals dilated.
     """
     if order < 1:
         raise DomainError(f"order must be positive, got {order}")
-    series = [_ONE]
-    powers: list[list[Fraction]] = [[_ONE]]
+    series = [1]
+    powers: list[list[int]] = [[1]]
     for n in range(1, order + 1):
         series.append(first_block_sum(values, powers, n, lambda a, b: math.comb(a - b - 1, b - 1)))
         # row k is read at columns j <= order - 2k, that is on diagonals
@@ -299,16 +316,16 @@ def composition_series(values: Sequence[Fraction], order: int
     return series, powers
 
 
-def first_block_sum(values: Sequence[Fraction], powers: list[list[Fraction]], n: int,
-                    weight: Callable[[int, int], int]) -> Fraction:
+def first_block_sum(values: Sequence[int], powers: list[list[int]], n: int,
+                    weight: Callable[[int, int], int]) -> int:
     """sum_(b>=1) sum_(a=2b..n) values[a] weight(a, b) [z^(n-a)] F^b from the
     table of :func:`composition_series`: a first block of b parts of total a,
     laid out in weight(a, b) ways, with F in its gaps; reads diagonals < n."""
-    total = _ZERO
+    total = 0
     for b in range(1, n // 2 + 1):
         row = powers[b]
         for a in range(2 * b, n + 1):
-            if values[a] != 0:
+            if values[a]:
                 total += values[a] * weight(a, b) * row[n - a]
     return total
 
@@ -320,41 +337,35 @@ def moments_from_cumulants(seq: CumulantSequence, order: int) -> MomentSequence:
     m_n = sum_k kappa_k [z^(n-k)] M(z)^k: the block of 1 has k elements and
     its k gaps hold arbitrary partitions.  The power table is extended by
     one diagonal per new moment, so the whole sequence costs O(order^3).
+    m_n has degree n in the index, so the recursion runs on the integers of
+    :func:`dilate`.
     """
     if order > seq.max_order:
         raise TruncationError(f"need cumulants to order {order}, have {seq.max_order}")
-    m: list[Fraction] = [_ONE]
-    powers: list[list[Fraction]] = [[_ONE]]
+    kappas, d = dilate((_ZERO,) + seq.values[:order])
+    m = [1]
+    powers: list[list[int]] = [[1]]
     for n in range(1, order + 1):
         _extend_powers(powers, m, n, n - 1)
-        total = _ZERO
-        for k in range(1, n + 1):
-            kv = seq.kappa(k)
-            if kv != 0:
-                total += kv * powers[k][n - k]
-        m.append(total)
-    return MomentSequence(m)
+        m.append(sum(kappas[k] * powers[k][n - k] for k in range(1, n + 1)))
+    return MomentSequence([Fraction(v, d ** n) for n, v in enumerate(m)])
 
 
 def cumulants_from_moments(mseq: MomentSequence, order: int) -> CumulantSequence:
     """Exact inverse of :func:`moments_from_cumulants`: the same recursion
     solved for its last term, kappa_n = m_n - sum_(k<n) kappa_k [z^(n-k)] M(z)^k,
-    with the power table of the known moments built up front (O(order^3))."""
+    with the power table of the known moments built up front (O(order^3)),
+    over the integers of :func:`dilate`."""
     if order > mseq.max_order:
         raise TruncationError(f"need moments to order {order}, have {mseq.max_order}")
-    m = [mseq.moment(k) for k in range(order + 1)]
-    powers: list[list[Fraction]] = [[_ONE]]
+    m, d = dilate(mseq.values[:order + 1])
+    powers: list[list[int]] = [[1]]
     for n in range(1, order + 1):
         _extend_powers(powers, m, n, n - 1)
-    kappas: list[Fraction] = []
+    kappas = [0]
     for n in range(1, order + 1):
-        value = m[n]
-        for k in range(1, n):
-            kv = kappas[k - 1]
-            if kv != 0:
-                value -= kv * powers[k][n - k]
-        kappas.append(value)
-    return CumulantSequence(kappas)
+        kappas.append(m[n] - sum(kappas[k] * powers[k][n - k] for k in range(1, n)))
+    return CumulantSequence([Fraction(v, d ** n) for n, v in enumerate(kappas[1:], start=1)])
 
 
 def _check_word(word: str) -> None:
@@ -544,14 +555,16 @@ def cumulant_of_word_products(words: Sequence[str],
     block products of cumulants over the non-crossing partitions of the
     letter positions whose join with the word-grouping interval partition is
     the one-block partition, by :func:`_joined_cumulant`.  The letter count
-    is capped at twice the order cap."""
+    is capped at twice the order cap, but never below twice the default cap:
+    so short a walk is cheap, and a fixed-order cumulant such as the
+    six-letter freeness witness must not hinge on a lowered cap."""
     tup = tuple(words)
     if not tup:
         raise DomainError("need at least one word")
     for w in tup:
         _check_word(w)
     letters_total = sum(len(w) for w in tup)
-    cap = 2 * resolve_order_cap()
+    cap = 2 * max(resolve_order_cap(), DEFAULT_ORDER_CAP)
     if letters_total > cap:
         raise SizeLimitError(
             f"{letters_total} letters exceeds the cap of {cap}"

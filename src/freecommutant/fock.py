@@ -7,6 +7,10 @@ multiplying into the last slot, or contracting against a moment of Y, split
 into two families whose vacuum moments add up to the cumulants of x + i[x,s]
 when the cumulants of x are the moments of the driving measure; so do the
 paper's sums over compositions, computed here by a first-block recursion.
+Values are exact: ``FockVector`` states and the adjointness checks hold
+``Fraction`` coefficients, while the vacuum-moment walk and the recursion
+run on integer numerators of the dilated moments and divide once per
+output.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .cumulants import (
     MomentSequence,
     as_fraction,
     composition_series,
+    dilate,
     first_block_sum,
     format_rational,
 )
@@ -123,34 +128,36 @@ class FockVector:
         ]
 
 
-def _apply_tensor(op: OperatorName, t: tuple[int, ...],
-                  rho: MomentSequence) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+def _apply_tensor(op: OperatorName, t: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The operator's action on one basis tensor, as (tensor, k) pairs: the
+    tensor with coefficient m_k of Y.  k = 0 is the coefficient m_0 = 1, and
+    the total exponent plus k always grows by exactly one."""
     n = len(t)
     odd = n % 2 == 1
     if op is OperatorName.XHAT:
         if odd:
-            yield t[:-1] + (t[-1] + 1,), _ONE
+            yield t[:-1] + (t[-1] + 1,), 0
     elif op is OperatorName.XTILDE:
         if not odd:
-            yield t[:-1] + (t[-1] + 1,), _ONE
+            yield t[:-1] + (t[-1] + 1,), 0
     elif op is OperatorName.XSHAT:
         if not odd:
-            yield t + (1,), _ONE
-            yield t[:-2] + (t[-2] + 1,), rho.moment(t[-1])
+            yield t + (1,), 0
+            yield t[:-2] + (t[-2] + 1,), t[-1]
     elif op is OperatorName.SXHAT:
         if odd:
-            yield t[:-1] + (t[-1] + 1, 0), _ONE
+            yield t[:-1] + (t[-1] + 1, 0), 0
             if n > 1:
-                yield t[:-1], rho.moment(t[-1] + 1)
+                yield t[:-1], t[-1] + 1
     elif op is OperatorName.XSTILDE:
         if odd:
-            yield t + (1,), _ONE
+            yield t + (1,), 0
             if n > 1:
-                yield t[:-2] + (t[-2] + 1,), rho.moment(t[-1])
+                yield t[:-2] + (t[-2] + 1,), t[-1]
     elif op is OperatorName.SXTILDE:
         if not odd:
-            yield t[:-1] + (t[-1] + 1, 0), _ONE
-            yield t[:-1], rho.moment(t[-1] + 1)
+            yield t[:-1] + (t[-1] + 1, 0), 0
+            yield t[:-1], t[-1] + 1
     else:  # pragma: no cover
         raise DomainError(f"unknown operator {op!r}")
 
@@ -159,8 +166,8 @@ def apply(op: OperatorName, v: FockVector, rho: MomentSequence) -> FockVector:
     """Linear extension of the per-tensor operator action."""
     acc: dict[tuple[int, ...], Fraction] = {}
     for t, c in v.terms.items():
-        for out, w in _apply_tensor(op, t, rho):
-            cw = c * w
+        for out, k in _apply_tensor(op, t):
+            cw = c * rho.moment(k) if k else c
             if cw:
                 acc[out] = acc.get(out, _ZERO) + cw
                 if not acc[out]:
@@ -193,8 +200,11 @@ def _vacuum_moments(ops: Sequence[OperatorName], order: int,
     """<(sum of ops)^j Omega, Omega> for j = 1..order from one walk.
 
     Every operator changes the tensor length by at most one and only
-    length-1 tensors pair with the vacuum, so a tensor longer than the
-    steps still to come plus one is dropped.
+    length-1 tensors (e,) pair with the vacuum, through m_e, so a tensor
+    longer than the steps still to come plus one is dropped.  A step adds
+    one to the total exponent plus the moment indices of the coefficient,
+    so the walk runs on the integers of :func:`dilate` and the j-th moment
+    is its sum over d^j.
     """
     if order < 1:
         raise DomainError(f"order must be positive, got {order}")
@@ -202,16 +212,20 @@ def _vacuum_moments(ops: Sequence[OperatorName], order: int,
         raise TruncationError(
             f"model order {order} needs moments to order {order + 1}, have {rho.max_order}"
         )
-    vacuum = FockVector.vacuum()
-    state = vacuum
+    m, d = dilate(rho.values[:order + 1])
+    state: dict[tuple[int, ...], int] = {(0,): 1}
     moments = []
     for j in range(1, order + 1):
-        out = FockVector.zero()
-        for op in ops:
-            out = out + apply(op, state, rho)
         reach = order - j + 1
-        state = FockVector._trusted({t: c for t, c in out.terms.items() if len(t) <= reach})
-        moments.append(inner_product(state, vacuum, rho))
+        out: dict[tuple[int, ...], int] = {}
+        for op in ops:
+            for t, c in state.items():
+                for grown, k in _apply_tensor(op, t):
+                    if len(grown) <= reach and m[k]:
+                        out[grown] = out.get(grown, 0) + c * m[k]
+        state = {t: c for t, c in out.items() if c}
+        moments.append(Fraction(sum(c * m[t[0]] for t, c in state.items() if len(t) == 1),
+                                d ** j))
     return moments
 
 
@@ -247,10 +261,10 @@ def composition_formula_cumulants(order: int, rho: MomentSequence) -> list[Fract
     :func:`first_block_sum` over G: an outer block of c + 1 parts of total
     a, laid out in C(a-c, c) ways, with G in its c inner gaps.  O(order^3)
     for the whole sequence."""
-    moments = [rho.moment(j) for j in range(order + 1)]
+    moments, d = dilate([rho.moment(j) for j in range(order + 1)])
     series, powers = composition_series(moments, order)
-    return [moments[n] + series[n] + first_block_sum(
-        moments, powers, n, lambda a, c: math.comb(a - c, c))
+    return [Fraction(moments[n] + series[n] + first_block_sum(
+        moments, powers, n, lambda a, c: math.comb(a - c, c)), d ** n)
         for n in range(1, order + 1)]
 
 

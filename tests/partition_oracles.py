@@ -7,7 +7,9 @@ depth-first walk; the functions here enumerate the partitions themselves,
 one at a time, so each pair of routes shares nothing but the moment and
 cumulant inputs.  The NC(k) families grow like the Catalan numbers: keep n
 at 14 or below.  ``join`` builds the lattice join that ``joins_to_full``
-decides without materializing.
+decides without materializing.  ``vacuum_moments_by_apply`` walks the
+operator model on ``FockVector`` states of ``Fraction`` coefficients,
+through ``apply`` and ``inner_product``: the oracle of the integer walk.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Iterator, Sequence
 
 from freecommutant.cumulants import S, X, CumulantSequence, MomentSequence, over_common_denominator
 from freecommutant.errors import DomainError, GroundSetError, KindError
+from freecommutant.fock import FockVector, OperatorName, apply, inner_product
 from freecommutant.partitions import Partition, PartitionKind, is_noncrossing, iter_partitions
 
 
@@ -201,3 +204,22 @@ def enumerated_composition_formula(n: int, rho: MomentSequence) -> Fraction:
     for k in range(1, n // 2 + 1):
         _composition_sum(n, [2] * k, PartitionKind.NC, moments, by_blocks)
     return sum((Fraction(v, den ** b) for b, v in enumerate(by_blocks) if v), Fraction(0))
+
+
+def vacuum_moments_by_apply(ops: Sequence[OperatorName], order: int,
+                            rho: MomentSequence) -> list[Fraction]:
+    """<(sum of ops)^j Omega, Omega> for j = 1..order: the state applied to
+    by every operator with :func:`freecommutant.fock.apply`, tensors longer
+    than the steps still to come plus one dropped, and paired with the
+    vacuum by :func:`freecommutant.fock.inner_product`."""
+    vacuum = FockVector.vacuum()
+    state = vacuum
+    moments = []
+    for j in range(1, order + 1):
+        out = FockVector.zero()
+        for op in ops:
+            out = out + apply(op, state, rho)
+        reach = order - j + 1
+        state = FockVector({t: c for t, c in out.terms.items() if len(t) <= reach})
+        moments.append(inner_product(state, vacuum, rho))
+    return moments

@@ -15,7 +15,7 @@ from jsonschema import validate
 
 from freecommutant import cli
 from freecommutant.cli import main, parse_spec
-from freecommutant.cumulants import CumulantSequence, moments_from_cumulants
+from freecommutant.cumulants import CumulantSequence, MomentSequence, moments_from_cumulants
 from freecommutant.errors import SpecSyntaxError
 
 SCHEMA = json.loads(
@@ -93,6 +93,15 @@ class TestCommands:
         validate(payload, SCHEMA)
         assert payload["witness"] == "1"
         assert "not free" in payload["note"]
+
+    @pytest.mark.parametrize("cap", ["1", "2"])
+    def test_freeness_witness_is_not_held_to_the_order_cap(self, capsys, monkeypatch, cap):
+        # a fixed order-4 cumulant of six letters, whatever the cap
+        argv = ["freeness-witness", "--x", "free-poisson(1)"]
+        default = run_main(argv, capsys)
+        monkeypatch.setenv("FREECOMMUTANT_MAX_ORDER", cap)
+        assert run_main(argv, capsys) == default
+        assert default[0] == 0 and not default[2]
 
     def test_cancellation(self, capsys):
         code, out, _ = run_main(
@@ -203,6 +212,36 @@ class TestOutputContracts:
         code2, out2, _ = run_main(args, capsys)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_one_parser_serves_every_call(self, capsys):
+        good = [["verify-fock", "--rho", "atomic(1/3:-1,2/3:2)", "--max-order", "4"],
+                ["cumulants", "--x", "atomic(1/2:0,1/2:1)", "--max-order", "5",
+                 "--format", "table"],
+                ["cancellation", "--x", "free-poisson(1)", "--s-var", "1/2"]]
+        usage = [["verify-fock", "--rho", "atomic(1:1)", "--max-order", "0"],
+                 ["no-such-command"],
+                 ["cancellation", "--x", "free-poisson(1)", "--s-var", "x"]]
+
+        def interleaved():
+            return [run_main(argv, capsys) for pair in zip(good, usage) for argv in pair]
+
+        first = interleaved()
+        assert first == interleaved()
+        assert [code for code, _, _ in first] == [0, 2, 0, 2, 0, 2]
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_cumulants_command_builds_atomic_moments_once(self, capsys, monkeypatch):
+        built = []
+        from_atoms = MomentSequence.from_atoms.__func__
+
+        def counted(cls, atoms, order):
+            built.append(order)
+            return from_atoms(cls, atoms, order)
+
+        monkeypatch.setattr(MomentSequence, "from_atoms", classmethod(counted))
+        assert main(["cumulants", "--x", "atomic(1/3:-1,2/3:2)", "--max-order", "6"]) == 0
+        assert built == [6]
+        capsys.readouterr()
 
     def test_sequence_oracles_run_once_per_command(self, capsys, monkeypatch):
         calls = []

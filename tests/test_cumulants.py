@@ -41,6 +41,11 @@ GENERIC_X = CumulantSequence(
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=6)
 
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# zeros, negatives and many distinct prime denominators, so that a dilation
+# of the sequence needs a factor of every prime at its own order
+prime_rationals = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1,) + PRIMES))
+
 
 class TestGaussianRational:
     def test_i_squared(self):
@@ -156,22 +161,32 @@ class TestTransformsPastThePartitionSums:
     """The power-table recursion against routes that share none of its
     code: the sum over NC(n), the R-transform identity, pinned values."""
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.one_of(st.just(Fraction(0)), rationals), min_size=1, max_size=9))
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.one_of(st.just(Fraction(0)), rationals, prime_rationals),
+                    min_size=1, max_size=9))
     def test_moments_are_sums_over_noncrossing_partitions(self, kappas):
-        m = moments_from_cumulants(CumulantSequence(kappas), len(kappas))
-        for n in range(1, len(kappas) + 1):
-            direct = Fraction(0)
+        n_max = len(kappas)
+        direct = [Fraction(1)]
+        for n in range(1, n_max + 1):
+            total = Fraction(0)
             for sizes in NC_BLOCK_SIZES[n]:
                 prod = Fraction(1)
                 for size in sizes:
                     prod *= kappas[size - 1]
-                direct += prod
-            assert m.moment(n) == direct
+                total += prod
+            direct.append(total)
+        assert list(moments_from_cumulants(CumulantSequence(kappas), n_max).values) == direct
+        # and the inverse takes the sums back to the inputs
+        assert list(cumulants_from_moments(MomentSequence(direct), n_max).values) == kappas
 
     def test_round_trip_to_order_forty(self):
         seq = CumulantSequence([Fraction((-1) ** k * k, k % 5 + 1) if k % 3 else 0
                                 for k in range(1, 41)])
+        assert cumulants_from_moments(moments_from_cumulants(seq, 40), 40) == seq
+
+    def test_round_trip_to_order_forty_over_prime_denominators(self):
+        seq = CumulantSequence([Fraction((-1) ** k * (k % 7), PRIMES[k % len(PRIMES)])
+                                if k % 4 else 0 for k in range(1, 41)])
         assert cumulants_from_moments(moments_from_cumulants(seq, 40), 40) == seq
 
     def test_order_thirty_atomic_law(self):
@@ -262,6 +277,14 @@ class TestWordCumulants:
         assert cumulant_of_word_products(("s",), STD_S, FP1) == 0
 
     def test_letter_cap(self):
+        with pytest.raises(SizeLimitError):
+            cumulant_of_word_products(("sx",) * 9, STD_S, FP1)
+
+    def test_letter_cap_is_never_below_twice_the_default(self, monkeypatch):
+        words = ("s", "sx", "sx", "s")
+        value = cumulant_of_word_products(words, STD_S, FP1)
+        monkeypatch.setenv("FREECOMMUTANT_MAX_ORDER", "1")
+        assert cumulant_of_word_products(words, STD_S, FP1) == value
         with pytest.raises(SizeLimitError):
             cumulant_of_word_products(("sx",) * 9, STD_S, FP1)
 

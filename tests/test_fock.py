@@ -17,6 +17,7 @@ from freecommutant.fock import (
     ADJOINT_PAIRS,
     FockVector,
     OperatorName,
+    _vacuum_moments,
     apply,
     composition_formula_cumulant,
     composition_formula_cumulants,
@@ -26,7 +27,11 @@ from freecommutant.fock import (
     model_cumulants,
     verify_adjointness,
 )
-from partition_oracles import enumerated_closed_form, enumerated_composition_formula
+from partition_oracles import (
+    enumerated_closed_form,
+    enumerated_composition_formula,
+    vacuum_moments_by_apply,
+)
 
 DELTA1 = MomentSequence.delta(1, 12)
 DELTA2 = MomentSequence.delta(2, 12)
@@ -235,6 +240,33 @@ class TestModelSequencePastOrderTwelve:
             model_cumulants(12, SYM_BERN)
         with pytest.raises(DomainError):
             model_cumulants(0, SYM_BERN)
+
+
+class TestIntegerWalk:
+    """The model walk on integer numerators against the walk on Fraction
+    states through apply and inner_product, both operator sums."""
+
+    @pytest.mark.parametrize("atoms", [
+        [(Fraction(1, 3), -1), (Fraction(2, 3), 2)],
+        [(Fraction(1, 4), Fraction(-1, 2)), (Fraction(1, 2), 1), (Fraction(1, 4), 3)],
+        [(Fraction(1, 7), Fraction(-2, 5)), (Fraction(6, 7), Fraction(1, 3))],
+        [(Fraction(1, 2), 0), (Fraction(1, 2), 1)],
+    ], ids=["two-atoms", "three-atoms", "prime-denominators", "atom-at-zero"])
+    def test_atomic_laws_through_twelve(self, atoms):
+        rho = MomentSequence.from_atoms(atoms, 13)
+        for ops in (HAT_OPS, TILDE_OPS):
+            assert _vacuum_moments(ops, 12, rho) == vacuum_moments_by_apply(ops, 12, rho)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-5, 5), st.sampled_from((1, 2, 3, 5, 7, 11, 13)))),
+        min_size=13, max_size=13))
+    @example([Fraction(k % 5 - 2, (2, 3, 5, 7, 11, 13)[k % 6]) for k in range(1, 14)])
+    def test_formal_moments_through_twelve(self, moments):
+        rho = MomentSequence([Fraction(1)] + moments)
+        for ops in (HAT_OPS, TILDE_OPS):
+            assert _vacuum_moments(ops, 12, rho) == vacuum_moments_by_apply(ops, 12, rho)
 
 
 # m_1..m_11 of a formal driving sequence: zeros, negatives and fractions
