@@ -1,18 +1,19 @@
 """Distributions built from the commutator of a semicircular element with a
 free partner.
 
-Provides the cumulant sequence of any polynomial in s and x, inverted
-from its moments in the canonical Fock model; on that route, the
-additivity verdicts comparing kappa_n(s + i[s,x]) against kappa_n(s) +
-kappa_n(i[s,x]) and kappa_n(x + i[x,s]) as the independent oracle for its
-closed form, which is also here, as a first-block recursion.  The signed
-double sums whose vanishing is equivalent to the additivity are the
+Provides the cumulant sequence of any polynomial linear in s, inverted
+from its moments by the B-valued first-block recursion over B = C[x]
+(:func:`.cumulants.graded_moments`); on that route, the additivity verdicts
+comparing kappa_n(s + i[s,x]) against kappa_n(s) + kappa_n(i[s,x]) and
+kappa_n(x + i[x,s]) as the independent oracle for its closed form, which is
+also here, as a first-block recursion over the x cumulants alone.  The
+signed double sums whose vanishing is equivalent to the additivity are the
 coefficients of kappa_n(s + t(sx - xs)) in t, every order from one t-graded
-pass of the same model and the moment-cumulant recursion over polynomials in
-t.  On the partition walk of :mod:`.cumulants`: the fourth-order witness
-showing s and i[s,x] are nevertheless not free.  Every requested order is
-checked against the cap that ``FREECOMMUTANT_MAX_ORDER`` sets; the witness
-has a fixed order and requests none.
+pass of the same recursion and the moment-cumulant recursion over
+polynomials in t.  On the partition walk of :mod:`.cumulants`: the
+fourth-order witness showing s and i[s,x] are nevertheless not free.  Every
+requested order is checked against the cap that ``FREECOMMUTANT_MAX_ORDER``
+sets; the witness has a fixed order and requests none.
 """
 
 from __future__ import annotations
@@ -124,8 +125,8 @@ def _check_order(order: int) -> None:
 
 
 def cumulant_sequence_of(p: Polynomial, pair: DistributionPair, order: int) -> CumulantSequence:
-    """kappa_1..kappa_order of the polynomial, by inverting its moments in
-    the canonical Fock model (:func:`polynomial_moments`).
+    """kappa_1..kappa_order of a polynomial linear in s, by inverting its
+    moments from the B-valued recursion (:func:`polynomial_moments`).
 
     Imaginary parts must vanish for self-adjoint input; a violation is an
     engine bug, not a data error.
@@ -210,8 +211,8 @@ def _cumulants_in_t(moments: list[list[Fraction]], order: int) -> list[list[Frac
 def cancellation_sums(pair: DistributionPair, order: int) -> list[list[Fraction]]:
     """For n = 1..order, the coefficients of t^0..t^n in
     kappa_n(s + t(sx - xs)), whose t^k coefficient is the double sum of
-    :func:`cancellation_sum`; all from one t-graded pass of the canonical
-    Fock model (:func:`graded_moments`).  Any s is accepted."""
+    :func:`cancellation_sum`; all from one t-graded pass of the B-valued
+    first-block recursion (:func:`graded_moments`).  Any s is accepted."""
     _check_order(order)
     moments = graded_moments(
         [letter_polynomial(_S_WORD), Polynomial([(_SX, GR_ONE), (_XS, -GR_ONE)])],
@@ -257,9 +258,9 @@ def closed_form_cumulant(n: int, dist_x: CumulantSequence) -> Fraction:
 
 
 def expansion_cumulant(n: int, dist_x: CumulantSequence, s_variance=1) -> Fraction:
-    """kappa_n(x + i[x,s]) inverted from its canonical-model moments
-    (:func:`cumulant_sequence_of`) — the independent oracle for
-    :func:`closed_form_cumulant`; exposes the s variance, which the closed
-    form normalizes to 1."""
+    """kappa_n(x + i[x,s]) inverted from its moments by the B-valued
+    recursion over the law of s (:func:`cumulant_sequence_of`) — the
+    independent oracle for :func:`closed_form_cumulant`; exposes the s
+    variance, which the closed form normalizes to 1."""
     pair = DistributionPair.standard(dist_x, s_variance, max_order=max(n, 2))
     return cumulant_sequence_of(perturbed_partner(), pair, n).kappa(n)

@@ -2,21 +2,22 @@
 
 The letters are ``s`` and ``x``, modelling two freely independent variables;
 every value is an exact rational.  Inside the loops the arithmetic is on
-integers: the transforms and the composition series work on sequences
-dilated by one factor (:func:`dilate`), the canonical model carries one
-running denominator, and ``Fraction`` appears only where values come in and
-where each output is divided once.  Sequences come in two types,
-cumulants and moments, related by O(N^3) first-block transforms; one
-moment type serves both a law and the measure that drives the operator
-model, with a flag for sequences built from an atomic measure.  Joint
-cumulants of word products sum block products of single-variable cumulants
-over the non-crossing partitions whose join with the word-grouping interval
-partition is full — the standard products-as-entries evaluation — in one
-depth-first walk that skips zero blocks and branches that can no longer
-reach the full join.  Moments of a whole polynomial come instead from
-Voiculescu's canonical model on the full Fock space over {s, x}, which needs
-neither the multilinear expansion nor any partition enumeration; one pass
-of it also gives the moments of p_0 + t p_1 + ... exactly as polynomials in t.
+integers: the transforms, the composition series and the moment engine work
+on sequences dilated by one factor (:func:`dilate`), and ``Fraction``
+appears only where values come in and where each output is divided once.
+Sequences come in two types, cumulants and moments, related by O(N^3)
+first-block transforms; one moment type serves both a law and the measure
+that drives the operator model, with a flag for sequences built from an
+atomic measure.  Joint cumulants of word products sum block products of
+single-variable cumulants over the non-crossing partitions whose join with
+the word-grouping interval partition is full — the standard
+products-as-entries evaluation — in one depth-first walk that skips zero
+blocks and branches that can no longer reach the full join.  Moments of a
+whole polynomial linear in s come instead from a first-block recursion
+with values in B = C[x]: s is free from B, so its B-valued cumulants are
+its scalar ones, and the recursion needs neither the multilinear expansion
+nor any partition enumeration; one pass of it also gives the moments of
+p_0 + t p_1 + ... exactly as polynomials in t.
 """
 
 from __future__ import annotations
@@ -71,14 +72,6 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise DomainError(f"not an exact rational: {value!r}")
-
-
-def over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The values as integer numerators over their least common denominator,
-    and that denominator: exact sums of products then need no gcd until the
-    end."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def dilation(denominators: Sequence[int]) -> int:
@@ -343,12 +336,18 @@ def moments_from_cumulants(seq: CumulantSequence, order: int) -> MomentSequence:
     if order > seq.max_order:
         raise TruncationError(f"need cumulants to order {order}, have {seq.max_order}")
     kappas, d = dilate((_ZERO,) + seq.values[:order])
+    return MomentSequence([Fraction(v, d ** n) for n, v in enumerate(_moments_of(kappas, order))])
+
+
+def _moments_of(kappas: Sequence[int], order: int) -> list[int]:
+    """The integer m_0..m_order of :func:`moments_from_cumulants` from
+    cumulants dilated by d (``kappas[0]`` is unused): d^n m_n."""
     m = [1]
     powers: list[list[int]] = [[1]]
     for n in range(1, order + 1):
         _extend_powers(powers, m, n, n - 1)
         m.append(sum(kappas[k] * powers[k][n - k] for k in range(1, n + 1)))
-    return MomentSequence([Fraction(v, d ** n) for n, v in enumerate(m)])
+    return m
 
 
 def cumulants_from_moments(mseq: MomentSequence, order: int) -> CumulantSequence:
@@ -426,7 +425,7 @@ def _kappa_table(dist: CumulantSequence, count: int, what: str) -> list[Fraction
         raise TruncationError(
             f"{count} letters '{what}' but cumulants available only to order {dist.max_order}"
         )
-    return [_ZERO] + [dist.kappa(k) for k in range(1, count + 1)]
+    return [_ZERO, *dist.values[:count]]
 
 
 def _joined_cumulant(words: tuple[str, ...],
@@ -608,105 +607,97 @@ def cumulant_of_polynomials(args: Sequence[Polynomial],
     return total
 
 
-def _apply_letter(state: dict[str, tuple[int, int]], letter: str, kappas: list[int],
-                  den: int, budget: int) -> dict[str, tuple[int, int]]:
-    """Apply l* + sum_k kappa_{k+1} l^k for one letter to a Fock state.
-
-    Values are Gaussian integers over a denominator shared by the whole
-    state; ``kappas`` are the letter's cumulants times ``den``, so the
-    result's denominator is ``den`` times the input's.  A word may hold at
-    most ``budget`` copies of the letter afterwards: each copy still has to
-    be annihilated by a later application of the same letter.
-    """
-    out: dict[str, tuple[int, int]] = {}
-    get = out.get
-    for word, (re, im) in state.items():
-        have = word.count(letter)
-        if have <= budget + 1 and word[:1] == letter:
-            rest = word[1:]
-            o = get(rest)
-            out[rest] = ((re * den, im * den) if o is None
-                         else (o[0] + re * den, o[1] + im * den))
-        for k in range(budget - have + 1):
-            kv = kappas[k + 1]
-            if kv:
-                grown = letter * k + word
-                o = get(grown)
-                out[grown] = ((kv * re, kv * im) if o is None
-                              else (o[0] + kv * re, o[1] + kv * im))
-    return out
+def _mul_into(acc: dict, a: dict, b: dict, scale: int = 1,
+              phi: Sequence[int] = (), width: int = 1) -> dict:
+    """acc += scale * a * b for polynomials in x and t over the Gaussian
+    integers, held as dicts from the key of x^d t^e, d + width * e, to
+    (re, im); width exceeds every x degree, so keys add as monomials
+    multiply.  With ``phi``, x^d t^e of the product pairs to phi[d] t^e."""
+    for ka, (ar, ai) in a.items():
+        ar, ai = ar * scale, ai * scale
+        for kb, (br, bi) in b.items():
+            key, f = ka + kb, 1
+            if phi:
+                d = key % width
+                key, f = key - d, phi[d]
+            re, im = (ar * br - ai * bi) * f, (ar * bi + ai * br) * f
+            o = acc.get(key)
+            acc[key] = (re, im) if o is None else (o[0] + re, o[1] + im)
+    return acc
 
 
 def graded_moments(parts: Sequence[Polynomial], dist_s: CumulantSequence,
                    dist_x: CumulantSequence, order: int) -> list[list[GaussianRational]]:
     """Moments m_0(t)..m_order(t) of p(t) = sum_g t^g parts[g] with s and x
-    free, each as its exact coefficients of t^0..t^(j * (len(parts) - 1)):
-    the vacuum coefficients of p(t)^j applied to the vacuum of the full Fock
-    space over {s, x}, where each letter acts as l* + sum_k kappa_{k+1} l^k
-    (Voiculescu's canonical model of an R-transform).
+    free, each as its exact coefficients of t^0..t^(j * (len(parts) - 1)).
+    A word with two or more s is refused; :func:`cumulant_of_polynomials`
+    takes any polynomial.
 
-    The state is one dict of words per power of t; a term of grade g moves
-    what it produces g powers up.  Words are applied letter by letter,
-    right to left; a word that holds more copies of a letter than the
-    applications of that letter still to come can never return to the
-    vacuum and is dropped.  Cumulants are therefore needed up to (most
-    copies of the letter in one term) * order.  Arithmetic is over integers
-    with one running denominator.
+    Over B = C[x, t], p = b_0 + sum_j u_j s v_j with u_j = x^(a_j) for the
+    distinct a of the words x^a s x^b.  s is free from B, so its B-valued
+    cumulants are kappa_k(s) phi(b_1)...phi(b_(k-1)), and the first-block
+    recursion reads M_0 = 1, M_n = b_0 M_(n-1) + sum_(a<=n) sum_(j,l)
+    (R_a)_jl u_j v_l M_(n-a), R_a = sum_k kappa_k(s) [z^(a-k)] c(z)^(k-1),
+    (c_g)_jl = phi(v_j M_g u_l) and m_n = phi(M_n), where phi(x^d t^e) =
+    m_d(x) t^e.  Powers of c(z) are kept below the last nonzero kappa_k(s).
+    x and s are dilated by the d of their cumulants (:func:`dilate`) and p
+    scaled by a common denominator L, so the recursion runs on Gaussian
+    integers and m_n is divided by L^n once.  Cumulants of x are read to
+    (most x in one term) * order, of s to order.
     """
-    # the constant of each part is its empty word
     terms = [(g, w, c) for g, part in enumerate(parts)
              for w, c in part.terms + (("", part.constant),) if c]
-    most = {a: max((w.count(a) for _g, w, _c in terms), default=0) for a in _ALPHABET}
-    kappas: dict[str, list[int]] = {}
-    den: dict[str, int] = {}
-    for a, dist in ((S, dist_s), (X, dist_x)):
-        kappas[a], den[a] = over_common_denominator(_kappa_table(dist, most[a] * order, a))
-    # One application of p(t) multiplies the running denominator by
-    # ``step``: the coefficients' common denominator times den^most for each
-    # letter; a term with fewer letters is lifted to it by its coefficient.
-    step = math.lcm(*(v.denominator for _g, _w, c in terms for v in (c.re, c.im)))
-    for a in _ALPHABET:
-        step *= den[a] ** most[a]
-    # Each term as its letters right to left, each with the copies of it
-    # before it in the word (its budget less the later applications).
-    lifted_terms = []
-    for g, word, c in terms:
-        lifted = step
-        for a in _ALPHABET:
-            lifted //= den[a] ** word.count(a)
-        letters = tuple((word[i], word.count(word[i], 0, i))
-                        for i in range(len(word) - 1, -1, -1))
-        lifted_terms.append((g, letters, (c.re * lifted).numerator, (c.im * lifted).numerator))
-    top = len(parts) - 1
-
-    state: list[dict[str, tuple[int, int]]] = [{"": (1, 0)}]
-    moments = [[GR_ONE]]
-    scale = 1
-    for j in range(1, order + 1):
-        later = order - j
-        nxt: list[dict[str, tuple[int, int]]] = [{} for _ in range(len(state) + top)]
-        # terms that end alike (s and xs, say) share those applications
-        applied: dict[tuple, dict[str, tuple[int, int]]] = {}
-        for g, letters, cr, ci in lifted_terms:
-            for d, cur in enumerate(state):
-                if not cur:
-                    continue
-                for i, (a, before) in enumerate(letters):
-                    key = (d, letters[:i + 1])
-                    done = applied.get(key)
-                    if done is None:
-                        done = applied[key] = _apply_letter(
-                            cur, a, kappas[a], den[a], before + later * most[a])
-                    cur = done
-                out = nxt[d + g]
-                for w, (re, im) in cur.items():
-                    tr, ti = cr * re - ci * im, cr * im + ci * re
-                    o = out.get(w)
-                    out[w] = (tr, ti) if o is None else (o[0] + tr, o[1] + ti)
-        state = [{w: v for w, v in sub.items() if v[0] or v[1]} for sub in nxt]
-        scale *= step
-        moments.append([GaussianRational(Fraction(re, scale), Fraction(im, scale))
-                        for re, im in (sub.get("", (0, 0)) for sub in state)])
+    most_s = max((w.count(S) for _g, w, _c in terms), default=0)
+    if most_s > 1:
+        raise DomainError(f"the moment engine takes polynomials linear in s, not {most_s}"
+                          " copies in one word; cumulant_of_polynomials takes any polynomial")
+    most_x = max((w.count(X) for _g, w, _c in terms), default=0)
+    ks, d_s = dilate(_kappa_table(dist_s, most_s * order, S))
+    kx, d_x = dilate(_kappa_table(dist_x, most_x * order, X))
+    phi = _moments_of(kx, most_x * order)
+    # p in x' = d_x x and s' = d_s s, times lcd, has Gaussian integer coefficients
+    lcd = math.lcm(*(f.denominator for _g, _w, c in terms for f in (c.re, c.im)))
+    lcd *= d_x ** most_x * d_s ** most_s
+    width = max(order, 2) * most_x + 1
+    b_0: dict = {}
+    v: dict[int, dict] = {}
+    for g, w, c in terms:
+        lift = lcd // (d_x ** w.count(X) * d_s ** w.count(S))
+        a = w.find(S)  # w = x^a s x^b, or x^b with a = -1
+        (b_0 if a < 0 else v.setdefault(a, {}))[len(w) - a - 1 + width * g] = (
+            c.re.numerator * lift // c.re.denominator, c.im.numerator * lift // c.im.denominator)
+    r = len(v)
+    uv = [[{a + key: c for key, c in v_l.items()} for v_l in v.values()] for a in v]
+    pairs = [(j, l) for j in range(r) for l in range(r)]
+    kmax = max((k for k, value in enumerate(ks) if value), default=0)
+    one = {0: (1, 0)}
+    gaps: list[list[list[dict]]] = []  # c_0, c_1, ...
+    powers = [gaps, *([] for _ in range(kmax - 2))]  # [z^j] c(z)^k at [k - 1][j]
+    big_m, q, moments = [one], [{}], [[GR_ONE]]
+    for n in range(1, order + 1):
+        if n >= 2:
+            gaps.append([[_mul_into({}, uv[l][j], big_m[n - 2], 1, phi, width)
+                          for l in range(r)] for j in range(r)])
+            for k in range(2, min(kmax, n)):
+                entry = [[{} for _ in range(r)] for _ in range(r)]
+                for h, (j, l), i in itertools.product(range(n - k), pairs, range(r)):
+                    _mul_into(entry[j][l], gaps[h][j][i], powers[k - 2][n - 1 - k - h][i][l])
+                powers[k - 1].append(entry)
+        q.append(dict(b_0) if n == 1 else {})  # the first factor alone: b_0, or s
+        for j in range(r) if n == 1 and kmax and ks[1] else ():
+            _mul_into(q[1], one, uv[j][j], ks[1])
+        for k in range(2, min(kmax, n) + 1):
+            for j, l in pairs if ks[k] else ():
+                _mul_into(q[n], powers[k - 2][n - k][j][l], uv[j][l], ks[k])
+        m_n: dict = {}
+        for a in range(1, n + 1):
+            _mul_into(m_n, q[a], big_m[n - a])
+        big_m.append({key: c for key, c in m_n.items() if c[0] or c[1]})
+        value, scale = _mul_into({}, one, m_n, 1, phi, width), lcd ** n
+        moments.append([GaussianRational(Fraction(re, scale) if re else _ZERO,
+                                         Fraction(im, scale) if im else _ZERO)
+                        for re, im in (value.get(width * e, (0, 0))
+                                       for e in range(n * len(parts) - n + 1))])
     return moments
 
 

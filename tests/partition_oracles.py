@@ -10,14 +10,28 @@ at 14 or below.  ``join`` builds the lattice join that ``joins_to_full``
 decides without materializing.  ``vacuum_moments_by_apply`` walks the
 operator model on ``FockVector`` states of ``Fraction`` coefficients,
 through ``apply`` and ``inner_product``: the oracle of the integer walk.
+``fock_graded_moments`` is Voiculescu's canonical model of an R-transform
+on the full Fock space over {s, x}: the oracle of ``graded_moments``, which
+it accepts any polynomial for, not only those linear in s.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from freecommutant.cumulants import S, X, CumulantSequence, MomentSequence, over_common_denominator
+from freecommutant.cumulants import (
+    _ALPHABET,
+    GR_ONE,
+    S,
+    X,
+    CumulantSequence,
+    GaussianRational,
+    MomentSequence,
+    Polynomial,
+    _kappa_table,
+)
 from freecommutant.errors import DomainError, GroundSetError, KindError
 from freecommutant.fock import FockVector, OperatorName, apply, inner_product
 from freecommutant.partitions import Partition, PartitionKind, is_noncrossing, iter_partitions
@@ -222,4 +236,114 @@ def vacuum_moments_by_apply(ops: Sequence[OperatorName], order: int,
         reach = order - j + 1
         state = FockVector({t: c for t, c in out.terms.items() if len(t) <= reach})
         moments.append(inner_product(state, vacuum, rho))
+    return moments
+
+
+def over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values as integer numerators over their least common denominator,
+    and that denominator: exact sums of products then need no gcd until the
+    end."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _apply_letter(state: dict[str, tuple[int, int]], letter: str, kappas: list[int],
+                  den: int, budget: int) -> dict[str, tuple[int, int]]:
+    """Apply l* + sum_k kappa_{k+1} l^k for one letter to a Fock state.
+
+    Values are Gaussian integers over a denominator shared by the whole
+    state; ``kappas`` are the letter's cumulants times ``den``, so the
+    result's denominator is ``den`` times the input's.  A word may hold at
+    most ``budget`` copies of the letter afterwards: each copy still has to
+    be annihilated by a later application of the same letter.
+    """
+    out: dict[str, tuple[int, int]] = {}
+    get = out.get
+    for word, (re, im) in state.items():
+        have = word.count(letter)
+        if have <= budget + 1 and word[:1] == letter:
+            rest = word[1:]
+            o = get(rest)
+            out[rest] = ((re * den, im * den) if o is None
+                         else (o[0] + re * den, o[1] + im * den))
+        for k in range(budget - have + 1):
+            kv = kappas[k + 1]
+            if kv:
+                grown = letter * k + word
+                o = get(grown)
+                out[grown] = ((kv * re, kv * im) if o is None
+                              else (o[0] + kv * re, o[1] + kv * im))
+    return out
+
+
+def fock_graded_moments(parts: Sequence[Polynomial], dist_s: CumulantSequence,
+                        dist_x: CumulantSequence, order: int) -> list[list[GaussianRational]]:
+    """Moments m_0(t)..m_order(t) of p(t) = sum_g t^g parts[g] with s and x
+    free, each as its exact coefficients of t^0..t^(j * (len(parts) - 1)):
+    the vacuum coefficients of p(t)^j applied to the vacuum of the full Fock
+    space over {s, x}, where each letter acts as l* + sum_k kappa_{k+1} l^k
+    (Voiculescu's canonical model of an R-transform).
+
+    The state is one dict of words per power of t; a term of grade g moves
+    what it produces g powers up.  Words are applied letter by letter,
+    right to left; a word that holds more copies of a letter than the
+    applications of that letter still to come can never return to the
+    vacuum and is dropped.  Cumulants are therefore needed up to (most
+    copies of the letter in one term) * order.  Arithmetic is over integers
+    with one running denominator.
+    """
+    # the constant of each part is its empty word
+    terms = [(g, w, c) for g, part in enumerate(parts)
+             for w, c in part.terms + (("", part.constant),) if c]
+    most = {a: max((w.count(a) for _g, w, _c in terms), default=0) for a in _ALPHABET}
+    kappas: dict[str, list[int]] = {}
+    den: dict[str, int] = {}
+    for a, dist in ((S, dist_s), (X, dist_x)):
+        kappas[a], den[a] = over_common_denominator(_kappa_table(dist, most[a] * order, a))
+    # One application of p(t) multiplies the running denominator by
+    # ``step``: the coefficients' common denominator times den^most for each
+    # letter; a term with fewer letters is lifted to it by its coefficient.
+    step = math.lcm(*(v.denominator for _g, _w, c in terms for v in (c.re, c.im)))
+    for a in _ALPHABET:
+        step *= den[a] ** most[a]
+    # Each term as its letters right to left, each with the copies of it
+    # before it in the word (its budget less the later applications).
+    lifted_terms = []
+    for g, word, c in terms:
+        lifted = step
+        for a in _ALPHABET:
+            lifted //= den[a] ** word.count(a)
+        letters = tuple((word[i], word.count(word[i], 0, i))
+                        for i in range(len(word) - 1, -1, -1))
+        lifted_terms.append((g, letters, (c.re * lifted).numerator, (c.im * lifted).numerator))
+    top = len(parts) - 1
+
+    state: list[dict[str, tuple[int, int]]] = [{"": (1, 0)}]
+    moments = [[GR_ONE]]
+    scale = 1
+    for j in range(1, order + 1):
+        later = order - j
+        nxt: list[dict[str, tuple[int, int]]] = [{} for _ in range(len(state) + top)]
+        # terms that end alike (s and xs, say) share those applications
+        applied: dict[tuple, dict[str, tuple[int, int]]] = {}
+        for g, letters, cr, ci in lifted_terms:
+            for d, cur in enumerate(state):
+                if not cur:
+                    continue
+                for i, (a, before) in enumerate(letters):
+                    key = (d, letters[:i + 1])
+                    done = applied.get(key)
+                    if done is None:
+                        done = applied[key] = _apply_letter(
+                            cur, a, kappas[a], den[a], before + later * most[a])
+                    cur = done
+                out = nxt[d + g]
+                for w, (re, im) in cur.items():
+                    tr, ti = cr * re - ci * im, cr * im + ci * re
+                    o = out.get(w)
+                    out[w] = (tr, ti) if o is None else (o[0] + tr, o[1] + ti)
+        state = [{w: v for w, v in sub.items() if v[0] or v[1]} for sub in nxt]
+        scale *= step
+        moments.append([GaussianRational(Fraction(re, scale), Fraction(im, scale))
+                        for re, im in (sub.get("", (0, 0)) for sub in state)])
     return moments

@@ -13,6 +13,7 @@ from freecommutant.commutator import (
     cancellation_sum,
     cancellation_sums,
     closed_form_cumulant,
+    closed_form_cumulants,
     commutator_polynomial,
     cumulant_sequence_of,
     expansion_cumulant,
@@ -401,6 +402,43 @@ class TestPastTheWalkHorizon:
             for n in range(9, 13):
                 assert closed_form_cumulant(n, dist_x) == expansion_cumulant(
                     n, dist_x, 1), (dist_x, n)
+
+
+class TestReachToForty:
+    """The verdicts at orders the canonical Fock model could not reach: the
+    B-valued recursion against the closed form, and the additivity and
+    cancellation identities, with the cap raised to 40."""
+
+    @pytest.fixture(autouse=True)
+    def cap_40(self, monkeypatch):
+        monkeypatch.setenv("FREECOMMUTANT_MAX_ORDER", "40")
+
+    def test_expansion_equals_closed_form_through_40(self):
+        for dist_x in (atomic_third(40), CumulantSequence.free_poisson(Fraction(2, 3), 40)):
+            pair = DistributionPair.standard(dist_x, 1, 40)
+            expansion = cumulant_sequence_of(perturbed_partner(), pair, 40)
+            assert list(expansion.values) == closed_form_cumulants(40, dist_x)
+
+    def test_additivity_holds_through_40(self):
+        pair = DistributionPair.standard(atomic_third(40), Fraction(3, 2), 40)
+        reports = verify_additivity(pair, 40)
+        assert len(reports) == 40 and all(r.holds for r in reports)
+        assert reports[39].rhs_c  # the commutator is not 0
+
+    def test_cancellation_vanishes_through_24(self):
+        pair = DistributionPair.standard(atomic_third(24), Fraction(3, 2), 24)
+        sums = cancellation_sums(pair, 24)
+        for n in range(2, 25):
+            for k in range(1, n):
+                assert not sums[n - 1][k], (n, k)
+        assert sums[23][24]
+
+    def test_a_non_semicircular_s_breaks_both(self):
+        # kappa_4(s) = 1: neither identity may survive to order 8
+        pair = DistributionPair(CumulantSequence([0, 1, 0, 1, 0, 0, 0, 0]), atomic_third())
+        assert not all(r.holds for r in verify_additivity(pair, 8))
+        sums = cancellation_sums(pair, 8)
+        assert any(sums[n - 1][k] for n in range(2, 9) for k in range(1, n))
 
 
 class TestClosedForm:

@@ -18,7 +18,6 @@ from freecommutant.cumulants import (
     cumulants_from_moments,
     graded_moments,
     moments_from_cumulants,
-    over_common_denominator,
     polynomial_moments,
 )
 from freecommutant.errors import (
@@ -29,7 +28,13 @@ from freecommutant.errors import (
     TruncationError,
 )
 from freecommutant.partitions import Partition, PartitionKind, iter_partitions
-from partition_oracles import joined_cumulant_naive, kappa_block, kappa_pi
+from partition_oracles import (
+    fock_graded_moments,
+    joined_cumulant_naive,
+    kappa_block,
+    kappa_pi,
+    over_common_denominator,
+)
 
 STD_S = CumulantSequence.semicircular(1, 10)
 FP1 = CumulantSequence.free_poisson(1, 10)
@@ -464,9 +469,32 @@ order_and_poly = st.integers(3, 5).flatmap(
 long_kappas = st.lists(rationals, min_size=15, max_size=15)
 
 
+def linear_in_s(parts) -> bool:
+    return all(w.count("s") <= 1 for p in parts for w, _c in p.terms)
+
+
+def engine_graded(parts, dist_s, dist_x, order):
+    """graded_moments, or the Fock-model oracle for a word with two or more
+    s, which graded_moments refuses."""
+    engine = graded_moments if linear_in_s(parts) else fock_graded_moments
+    return engine(parts, dist_s, dist_x, order)
+
+
+def engine_moments(p, dist_s, dist_x, order):
+    """polynomial_moments, or its oracle counterpart as in :func:`engine_graded`."""
+    if linear_in_s([p]):
+        return polynomial_moments(p, dist_s, dist_x, order)
+    moments = [m for (m,) in fock_graded_moments([p], dist_s, dist_x, order)]
+    if any(m.im for m in moments):
+        raise DomainError("a moment is not real")
+    return MomentSequence([m.re for m in moments])
+
+
 class TestPolynomialMoments:
-    """The canonical Fock-model moments against the multilinear expansion
-    on the partition walk, which shares no code with them."""
+    """The moments of the B-valued recursion against the multilinear
+    expansion on the partition walk, which shares no code with them; a
+    draw with a word of two or more s checks the Fock-model oracle against
+    the walk instead."""
 
     @settings(max_examples=30, deadline=None)
     @given(order_and_poly, long_kappas, long_kappas)
@@ -478,12 +506,12 @@ class TestPolynomialMoments:
         oracle = [cumulant_of_polynomials([p] * n, dist_s, dist_x)
                   for n in range(1, order + 1)]
         if all(v.is_real for v in oracle):
-            moments = polynomial_moments(p, dist_s, dist_x, order)
+            moments = engine_moments(p, dist_s, dist_x, order)
             assert cumulants_from_moments(moments, order).values == tuple(v.re for v in oracle)
         else:
             assert not p.is_self_adjoint
             with pytest.raises(DomainError):
-                polynomial_moments(p, dist_s, dist_x, order)
+                engine_moments(p, dist_s, dist_x, order)
 
     def test_letter_moments_are_the_inputs(self):
         for letter, dist in (("s", GENERIC_S), ("x", GENERIC_X)):
@@ -495,16 +523,59 @@ class TestPolynomialMoments:
         assert polynomial_moments(p, STD_S, FP1, 4).values == (1, 3, 9, 27, 81)
 
     def test_short_sequence_is_truncation_error(self):
-        # ss at order 3 needs kappa_1..kappa_6 of s
-        short_s = CumulantSequence([0, 1, 0, 2, 0])
-        with pytest.raises(TruncationError):
-            polynomial_moments(Polynomial.from_word("ss"), short_s, FP1, 3)
-        assert polynomial_moments(Polynomial.from_word("ss"), short_s, FP1, 2).max_order == 2
+        # xsx at order 3 needs kappa_1..kappa_3 of s and kappa_1..kappa_6 of x
+        p = Polynomial.from_word("xsx")
+        short_s, short_x = CumulantSequence([0, 1]), CumulantSequence([1, 2, 0, 1, 1])
+        for dist_s, dist_x in ((short_s, FP1), (STD_S, short_x)):
+            with pytest.raises(TruncationError):
+                polynomial_moments(p, dist_s, dist_x, 3)
+            assert polynomial_moments(p, dist_s, dist_x, 2).max_order == 2
+
+    def test_two_s_in_a_word_is_domain_error(self):
+        for word in ("ss", "sxs", "xss"):
+            p = Polynomial([("s", GR_ONE), (word, GR_I)], GR_ONE)
+            with pytest.raises(DomainError, match="cumulant_of_polynomials"):
+                polynomial_moments(p, STD_S, FP1, 3)
+            with pytest.raises(DomainError, match="cumulant_of_polynomials"):
+                graded_moments([Polynomial.from_word("x"), p], STD_S, FP1, 3)
+            # the partition walk takes it
+            cumulant_of_polynomials([p] * 3, STD_S, FP1)
 
     def test_non_real_moment_is_domain_error(self):
         p = Polynomial.from_word("x", GR_I)  # m_1 = i kappa_1(x)
         with pytest.raises(DomainError):
             polynomial_moments(p, STD_S, FP1, 2)
+
+
+# Parts linear in s for orders 1..10.  The Fock-model oracle grows with the
+# x letters of a term, so orders 7..10 keep to words with at most one x.
+_LINEAR_WORDS = ["s", "x", "xx", "sx", "xs", "xsx", "sxx", "xxs"]
+gaussians = st.builds(GaussianRational.of, rationals, rationals)
+
+
+def linear_parts(order):
+    words = _LINEAR_WORDS if order <= 6 else ["s", "x", "sx", "xs"]
+    part = st.builds(Polynomial, st.lists(st.tuples(st.sampled_from(words), gaussians),
+                                          min_size=1, max_size=3),
+                     st.just(GR_ZERO) | gaussians)
+    return st.lists(part, min_size=1, max_size=2)
+
+
+class TestRecursionAgainstFockModel:
+    """graded_moments against the canonical Fock model of
+    :func:`fock_graded_moments`, which shares no code with it, on random
+    parts linear in s with a non-semicircular s and a formal x."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 10).flatmap(lambda n: st.tuples(st.just(n), linear_parts(n))),
+           st.lists(rationals, min_size=10, max_size=10),
+           st.lists(rationals, min_size=20, max_size=20))
+    def test_equals_fock_model(self, order_parts, ks, kx):
+        order, parts = order_parts
+        dist_s = CumulantSequence(ks[:2] + [ks[2] or 1] + ks[3:])  # kappa_3 != 0
+        dist_x = CumulantSequence(kx)
+        assert (graded_moments(parts, dist_s, dist_x, order)
+                == fock_graded_moments(parts, dist_s, dist_x, order))
 
 
 # Orders 3-6 with two Q(i) polynomials; orders 5 and 6 use words of at
@@ -517,7 +588,8 @@ longer_kappas = st.lists(rationals, min_size=12, max_size=12)
 
 
 class TestGradedMoments:
-    """The t-graded pass against the grade-0 pass at fixed t."""
+    """The t-graded pass against the grade-0 pass at fixed t; a draw with a
+    word of two or more s checks the Fock-model oracle the same way."""
 
     @settings(max_examples=40, deadline=None)
     @given(order_and_two_polys, longer_kappas, longer_kappas)
@@ -526,13 +598,13 @@ class TestGradedMoments:
         dist_s, dist_x = CumulantSequence(ks), CumulantSequence(kx)
         if dist_s.is_semicircular:
             dist_s = CumulantSequence([1] + ks[1:])
-        graded = graded_moments([p0, p1], dist_s, dist_x, order)
+        graded = engine_graded([p0, p1], dist_s, dist_x, order)
         assert [len(m) for m in graded] == [j + 1 for j in range(order + 1)]
         for t in (0, 1, 2, -3):
             at_t = [sum((c * t ** d for d, c in enumerate(m)), GR_ZERO) for m in graded]
             p = p0 + p1.scaled(t)
             try:
-                moments = polynomial_moments(p, dist_s, dist_x, order)
+                moments = engine_moments(p, dist_s, dist_x, order)
             except DomainError:
                 assert any(m.im for m in at_t)
             else:
