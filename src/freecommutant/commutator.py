@@ -10,10 +10,11 @@ also here, as a first-block recursion over the x cumulants alone.  The
 signed double sums whose vanishing is equivalent to the additivity are the
 coefficients of kappa_n(s + t(sx - xs)) in t, every order from one t-graded
 pass of the same recursion and the moment-cumulant recursion over
-polynomials in t.  On the partition walk of :mod:`.cumulants`: the
-fourth-order witness showing s and i[s,x] are nevertheless not free.  Every
-requested order is checked against the cap that ``FREECOMMUTANT_MAX_ORDER``
-sets; the witness has a fixed order and requests none.
+polynomials in t.  On the joint cumulants of word products of
+:mod:`.cumulants`: the fourth-order witness showing s and i[s,x] are
+nevertheless not free.  Every requested order is checked against the cap
+that ``FREECOMMUTANT_MAX_ORDER`` sets; the witness has a fixed order and
+requests none.
 """
 
 from __future__ import annotations

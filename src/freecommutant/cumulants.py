@@ -2,17 +2,18 @@
 
 The letters are ``s`` and ``x``, modelling two freely independent variables;
 every value is an exact rational.  Inside the loops the arithmetic is on
-integers: the transforms, the composition series and the moment engine work
-on sequences dilated by one factor (:func:`dilate`), and ``Fraction``
-appears only where values come in and where each output is divided once.
+integers: the transforms, the composition series, the joint cumulants and
+the moment engine work on sequences dilated by one factor (:func:`dilate`),
+and ``Fraction`` appears only where values come in and where each output is
+divided once.
 Sequences come in two types, cumulants and moments, related by O(N^3)
 first-block transforms; one moment type serves both a law and the measure
 that drives the operator model, with a flag for sequences built from an
 atomic measure.  Joint cumulants of word products sum block products of
 single-variable cumulants over the non-crossing partitions whose join with
-the word-grouping interval partition is full — the standard
-products-as-entries evaluation — in one depth-first walk that skips zero
-blocks and branches that can no longer reach the full join.  Moments of a
+the word-grouping interval partition is full — the products-as-arguments
+formula — by a first-block recursion over the gaps of the first letter's
+block, each gap again a joint cumulant of word products.  Moments of a
 whole polynomial linear in s come instead from a first-block recursion
 with values in B = C[x]: s is free from B, so its B-valued cumulants are
 its scalar ones, and the recursion needs neither the multilinear expansion
@@ -22,6 +23,7 @@ p_0 + t p_1 + ... exactly as polynomials in t.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -430,122 +432,65 @@ def _kappa_table(dist: CumulantSequence, count: int, what: str) -> list[Fraction
 
 def _joined_cumulant(words: tuple[str, ...],
                      dist_s: CumulantSequence, dist_x: CumulantSequence) -> Fraction:
-    """Depth-first generation of non-crossing partitions through a stack of
-    open blocks, skipping any branch with a provably zero block and any
-    branch whose word-connectivity can no longer reach the full join."""
+    """First-block recursion for the joint cumulant of word products.
+
+    The block B = {0 = b_1 < ... < b_k} of the first letter holds that
+    letter only and contributes its kappa_k; the rest of a joining
+    partition lies in the gaps of B, read cyclically, and each gap (p, q)
+    contributes on its own.  Inside one word it holds any non-crossing
+    partition of letters p+1..q-1: their moment.  Otherwise its words must
+    join B through its two end fragments, which B already joins, so by
+    traciality the gap is the joint cumulant of its whole words followed by
+    one word, the fragment before q then the one after p; with that word
+    empty it is 1 for an empty gap and 0 otherwise.  The sum over B runs
+    over its last member and size.  The letters are dilated separately
+    (:func:`dilate`), so the recursion runs on integers and the value is
+    divided once by d_s^(#s) d_x^(#x).
+    """
     letters = "".join(words)
-    length = len(letters)
-    gid: list[int] = []
-    glast: list[int] = []
-    pos = 0
-    for g, w in enumerate(words):
-        gid.extend([g] * len(w))
-        glast.append(pos + len(w) - 1)
-        pos += len(w)
-    m = len(words)
+    kappas, scale = {}, 1
+    for letter, dist in ((S, dist_s), (X, dist_x)):
+        count = letters.count(letter)
+        kappas[letter], d = dilate(_kappa_table(dist, count, letter))
+        scale *= d ** count
 
-    ks = _kappa_table(dist_s, letters.count(S), S)
-    kx = _kappa_table(dist_x, length - letters.count(S), X)
-    table = {S: ks, X: kx}
-    max_size = {
-        S: max((k for k, v in enumerate(ks) if v != 0), default=0),
-        X: max((k for k, v in enumerate(kx) if v != 0), default=0),
-    }
+    @functools.cache
+    def joint(tup: tuple[str, ...]) -> int:
+        text = "".join(tup)
+        n = len(text)
+        bounds = list(itertools.accumulate(map(len, tup), initial=0))
+        word = [g for g, w in enumerate(tup) for _ in w] + [len(tup)]  # n: a word of its own
 
-    # union-find over word groups, with an undo trail for backtracking
-    parent = list(range(m))
-    csize = [1] * m
-    copen = [0] * m          # open blocks attached to each component root
-    clast = glast[:]         # last letter position seen by each component
-    ncomp = [m]
-    trail: list[tuple[int, int, int, int, int]] = []
+        def gap(p: int, q: int) -> int:
+            a, b = word[p], word[q]
+            if a == b:
+                return joint((text[p + 1:q],)) if q > p + 1 else 1
+            inner = tup[a + 1:b]
+            joined = text[bounds[b]:q] + text[p + 1:bounds[a + 1]]
+            if not joined:
+                return 0 if inner else 1
+            return joint(inner + (joined,))
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            a = parent[a]
-        return a
+        members = [p for p in range(n) if text[p] == text[0]]
+        # chains[i][k]: the gap products of the blocks of k + 1 members ending at members[i]
+        chains = [[1]]
+        for i in range(1, len(members)):
+            row = [0] * (i + 1)
+            for j in range(i):
+                g = gap(members[j], members[i])
+                if g:
+                    for k, v in enumerate(chains[j]):
+                        row[k + 1] += v * g
+            chains.append(row)
+        kappa = kappas[text[0]]
+        total = 0
+        for p, row in zip(members, chains):
+            g = gap(p, n)
+            if g:
+                total += g * sum(map(operator.mul, row, kappa[1:]))
+        return total
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return
-        if csize[ra] < csize[rb]:
-            ra, rb = rb, ra
-        trail.append((rb, ra, copen[ra], clast[ra], csize[ra]))
-        parent[rb] = ra
-        csize[ra] += csize[rb]
-        copen[ra] += copen[rb]
-        if clast[rb] > clast[ra]:
-            clast[ra] = clast[rb]
-        ncomp[0] -= 1
-
-    def rollback(mark: int) -> None:
-        while len(trail) > mark:
-            rb, ra, o, cl, sz = trail.pop()
-            parent[rb] = rb
-            copen[ra] = o
-            clast[ra] = cl
-            csize[ra] = sz
-            ncomp[0] += 1
-
-    stack: list[list] = []   # open blocks: [letter, size, member group]
-    total = [_ZERO]
-
-    def walk(i: int, acc: Fraction) -> None:
-        if i == length:
-            if ncomp[0] != 1:
-                return
-            for letter, size, _g in stack:
-                kv = table[letter][size]
-                if kv == 0:
-                    return
-                if kv != 1:
-                    acc *= kv
-            total[0] += acc
-            return
-        c = letters[i]
-        g = gid[i]
-        cmax = max_size[c]
-        # start a new block at position i
-        if cmax >= 1:
-            root = find(g)
-            copen[root] += 1
-            stack.append([c, 1, g])
-            walk(i + 1, acc)
-            stack.pop()
-            copen[root] -= 1
-        # join an open block; blocks above the one joined must close first
-        popped: list[list] = []
-        reopened: list[int] = []
-        while stack:
-            blk = stack[-1]
-            letter, size, mg = blk
-            if letter == c and size < cmax:
-                blk[1] = size + 1
-                mark = len(trail)
-                union(mg, g)
-                walk(i + 1, acc)
-                rollback(mark)
-                blk[1] = size
-            kv = table[letter][size]
-            if kv == 0:
-                break
-            root = find(mg)
-            copen[root] -= 1
-            if copen[root] == 0 and clast[root] < i:
-                copen[root] += 1
-                break  # component sealed off from every later letter
-            reopened.append(root)
-            if kv != 1:
-                acc *= kv
-            popped.append(stack.pop())
-        while popped:
-            stack.append(popped.pop())
-        while reopened:
-            copen[reopened.pop()] += 1
-
-    walk(0, _ONE)
-    return total[0]
+    return Fraction(joint(words), scale)
 
 
 def cumulant_of_word_products(words: Sequence[str],
@@ -554,9 +499,10 @@ def cumulant_of_word_products(words: Sequence[str],
     block products of cumulants over the non-crossing partitions of the
     letter positions whose join with the word-grouping interval partition is
     the one-block partition, by :func:`_joined_cumulant`.  The letter count
-    is capped at twice the order cap, but never below twice the default cap:
-    so short a walk is cheap, and a fixed-order cumulant such as the
-    six-letter freeness witness must not hinge on a lowered cap."""
+    is capped at twice the order cap, as every order is capped, so that no
+    call runs away; but never below twice the default cap, so that a
+    fixed-order cumulant such as the six-letter freeness witness does not
+    hinge on a lowered cap."""
     tup = tuple(words)
     if not tup:
         raise DomainError("need at least one word")

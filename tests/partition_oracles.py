@@ -2,17 +2,18 @@
 
 ``closed_form_cumulants`` and ``composition_formula_cumulants`` compute the
 two partition sums of x + i[x,s] by first-block recursions, and
-``cumulant_of_word_products`` sums over the joining partitions by a pruned
-depth-first walk; the functions here enumerate the partitions themselves,
-one at a time, so each pair of routes shares nothing but the moment and
-cumulant inputs.  The NC(k) families grow like the Catalan numbers: keep n
-at 14 or below.  ``join`` builds the lattice join that ``joins_to_full``
-decides without materializing.  ``vacuum_moments_by_apply`` walks the
-operator model on ``FockVector`` states of ``Fraction`` coefficients,
-through ``apply`` and ``inner_product``: the oracle of the integer walk.
-``fock_graded_moments`` is Voiculescu's canonical model of an R-transform
-on the full Fock space over {s, x}: the oracle of ``graded_moments``, which
-it accepts any polynomial for, not only those linear in s.
+``cumulant_of_word_products`` sums over the joining partitions by a
+recursion over the gaps of the first letter's block; the functions here
+enumerate the partitions themselves, one at a time, so each pair of routes
+shares nothing but the moment and cumulant inputs.  The NC(k) families
+grow like the Catalan numbers: keep n at 14 or below.  ``join`` builds the
+lattice join that ``joins_to_full`` decides without materializing.
+``vacuum_moments_by_apply`` walks the operator model on ``FockVector``
+states of ``Fraction`` coefficients, through ``apply`` and
+``inner_product``: the oracle of the integer walk.  ``fock_graded_moments``
+is Voiculescu's canonical model of an R-transform on the full Fock space
+over {s, x}: the oracle of ``graded_moments``, which it accepts any
+polynomial for, not only those linear in s.
 """
 
 from __future__ import annotations

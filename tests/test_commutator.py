@@ -371,6 +371,18 @@ class TestExpansionAgainstTheWalk:
                 assert expansion_cumulant(n, dist_x, s_var) == real_cumulant(
                     walk, self_adjoint=True), (dist_x, n)
 
+    @pytest.mark.parametrize("poly", [commutator_polynomial(I_S_X), sum_with_commutator()],
+                             ids=["i[s,x]", "s+i[s,x]"])
+    def test_moment_route_equals_joint_cumulants_at_seven_and_eight(self, poly):
+        # kappa_1(s) and kappa_3(s) are nonzero, so odd blocks of s count too;
+        # order 8 takes tuples of 16 letters
+        dist_s = CumulantSequence([Fraction(1, 3), 2, Fraction(-1, 2), 1, 0, 2, 1, 1])
+        pair = DistributionPair(dist_s, atomic_third())
+        sequence = cumulant_sequence_of(poly, pair, 8)
+        for n in (7, 8):
+            joint = cumulant_of_polynomials([poly] * n, pair.dist_s, pair.dist_x)
+            assert real_cumulant(joint, self_adjoint=True) == sequence.kappa(n), n
+
 
 class TestPastTheWalkHorizon:
     """Orders the partition walk cannot reach in a test run."""

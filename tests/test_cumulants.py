@@ -326,12 +326,14 @@ class TestPrunedEqualsUnpruned:
             assert p == u, tup
 
 
+# up to six words of up to three letters, so that the fragments of the
+# first letter's gaps merge across several words
 word_tuple = st.lists(
-    st.sampled_from(["s", "x", "sx", "xs", "ss", "xx"]),
-    min_size=1, max_size=4,
-).map(tuple).filter(lambda t: sum(map(len, t)) <= 8)
+    st.sampled_from(["s", "x", "sx", "xs", "ss", "xx", "sxs", "xsx", "ssx"]),
+    min_size=1, max_size=6,
+).map(tuple).filter(lambda t: sum(map(len, t)) <= 9)
 
-kappa_list = st.lists(rationals, min_size=8, max_size=8)
+kappa_list = st.lists(rationals, min_size=9, max_size=9)
 
 
 class TestPrunedEqualsUnprunedProperty:
