@@ -191,9 +191,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, x=False, rho=False, order=None):
+    def common(p, x=False, s_var=False, rho=False, order=None):
         if x:
             p.add_argument("--x", required=True, help="distribution spec for x")
+        if s_var:
             p.add_argument("--s-var", type=_rational, default="1",
                            help="variance of the semicircular s")
         if rho:
@@ -205,10 +206,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("verify-additivity",
                           help="kappa_n(s+i[s,x]) vs kappa_n(s)+kappa_n(i[s,x])"),
-           x=True, order=6)
-    common(sub.add_parser("freeness-witness", help="kappa_4(s, i[s,x], i[s,x], s)"), x=True)
+           x=True, s_var=True, order=6)
+    common(sub.add_parser("freeness-witness", help="kappa_4(s, i[s,x], i[s,x], s)"),
+           x=True, s_var=True)
     common(sub.add_parser("cancellation", help="the signed double sums that must vanish"),
-           x=True, order=5)
+           x=True, s_var=True, order=5)
     common(sub.add_parser("verify-closed-form",
                           help="closed form for kappa_n(x+i[x,s]) vs full expansion"),
            x=True, order=6)
@@ -257,43 +259,37 @@ def _pair_from_args(args, order: int) -> DistributionPair:
     )
 
 
-def _cmd_verify_additivity(args) -> tuple[dict, bool]:
+def _cmd_verify_additivity(args) -> dict:
     order = _order_or_die(args.max_order)
     pair = _pair_from_args(args, order)
     reports = verify_additivity(pair, order)
     if reports and _fault_active():
         reports[0] = replace(reports[0], lhs=reports[0].lhs + 1)
-    ok = all(r.holds for r in reports)
-    payload = {
-        "command": "verify-additivity",
+    return {
         "x": args.x,
         "s_var": format_rational(args.s_var),
         "max_order": order,
         "hypothesis_met": pair.semicircular_hypothesis,
-        "holds": ok,
+        "holds": all(r.holds for r in reports),
         "reports": [r.to_json() for r in reports],
     }
-    return payload, ok
 
 
-def _cmd_freeness_witness(args) -> tuple[dict, bool]:
+def _cmd_freeness_witness(args) -> dict:
     pair = _pair_from_args(args, 4)
     witness = _perturb(freeness_witness(pair))
     expected = pair.dist_s.kappa(2) ** 2 * pair.dist_x.kappa(2)
-    ok = witness == expected
-    payload = {
-        "command": "freeness-witness",
+    return {
         "x": args.x,
         "s_var": format_rational(args.s_var),
         "witness": format_rational(witness),
         "expected": format_rational(expected),
-        "holds": ok,
+        "holds": witness == expected,
         "note": "a nonzero witness certifies that s and i[s,x] are not free",
     }
-    return payload, ok
 
 
-def _cmd_cancellation(args) -> tuple[dict, bool]:
+def _cmd_cancellation(args) -> dict:
     order = _order_or_die(args.max_order)
     if order < 2:
         raise FreeCommutantError("cancellation sums start at order 2; pass --max-order >= 2")
@@ -305,83 +301,58 @@ def _cmd_cancellation(args) -> tuple[dict, bool]:
         for k in range(1, n):
             v = coeffs[k] if entries else _perturb(coeffs[k])
             entries.append({"n": n, "k": k, "value": format_rational(v), "holds": v == 0})
-    ok = all(e["holds"] for e in entries)
-    payload = {
-        "command": "cancellation",
+    return {
         "x": args.x,
         "s_var": format_rational(args.s_var),
         "max_order": order,
-        "holds": ok,
+        "holds": all(e["holds"] for e in entries),
         "entries": entries,
     }
-    return payload, ok
 
 
-def _cmd_verify_closed_form(args) -> tuple[dict, bool]:
-    order = _order_or_die(args.max_order)
-    spec = parse_spec(args.x)
-    dist_x = spec.cumulants(max(order, 2))
-    pair = DistributionPair.standard(dist_x, 1, max_order=max(order, 2))
-    oracles = cumulant_sequence_of(perturbed_partner(), pair, order).values
+def _agreement(**routes) -> tuple[bool, list[dict]]:
+    """One row per order n = 1, 2, ... with each route's value, holding when
+    all routes agree; the fault switch perturbs the first route at n = 1."""
     entries = []
-    for n, oracle, closed in zip(range(1, order + 1), oracles,
-                                 closed_form_cumulants(order, dist_x)):
+    for n, values in enumerate(zip(*routes.values()), start=1):
         if n == 1:
-            closed = _perturb(closed)
-        entries.append({
-            "n": n,
-            "closed_form": format_rational(closed),
-            "expansion": format_rational(oracle),
-            "holds": closed == oracle,
-        })
-    ok = all(e["holds"] for e in entries)
-    payload = {
-        "command": "verify-closed-form",
-        "x": args.x,
-        "max_order": order,
-        "holds": ok,
-        "entries": entries,
-    }
-    return payload, ok
+            values = (_perturb(values[0]),) + values[1:]
+        entries.append({"n": n, **dict(zip(routes, map(format_rational, values))),
+                        "holds": all(v == values[0] for v in values)})
+    return all(e["holds"] for e in entries), entries
 
 
-def _cmd_verify_fock(args) -> tuple[dict, bool]:
+def _cmd_verify_closed_form(args) -> dict:
+    order = _order_or_die(args.max_order)
+    dist_x = parse_spec(args.x).cumulants(max(order, 2))
+    pair = DistributionPair.standard(dist_x, 1, max_order=max(order, 2))
+    expansion = cumulant_sequence_of(perturbed_partner(), pair, order).values
+    ok, entries = _agreement(closed_form=closed_form_cumulants(order, dist_x), expansion=expansion)
+    return {"x": args.x, "max_order": order, "holds": ok, "entries": entries}
+
+
+def _cmd_verify_fock(args) -> dict:
     order = _order_or_die(args.max_order)
     spec = parse_spec(args.rho)
     rho = spec.rho(max(order + 1, ADJOINT_MOMENT_ORDER) if spec.kind == "atomic"
                    else order + 1)
-    dist_x = compound_poisson_from_rho(rho, order)
-    entries = []
-    for n, model, comp, closed in zip(range(1, order + 1), model_cumulants(order, rho),
-                                      composition_formula_cumulants(order, rho),
-                                      closed_form_cumulants(order, dist_x)):
-        if n == 1:
-            model = _perturb(model)
-        entries.append({
-            "n": n,
-            "model": format_rational(model),
-            "composition": format_rational(comp),
-            "closed_form": format_rational(closed),
-            "holds": model == comp == closed,
-        })
-    ok = all(e["holds"] for e in entries)
-    adjoint: bool | None = None
-    if rho.genuine:
-        adjoint = verify_adjointness(ADJOINT_PAIRS, 50, rho, args.seed)
-        ok = ok and adjoint
-    payload = {
-        "command": "verify-fock",
+    ok, entries = _agreement(
+        model=model_cumulants(order, rho),
+        composition=composition_formula_cumulants(order, rho),
+        closed_form=closed_form_cumulants(order, compound_poisson_from_rho(rho, order)))
+    # None when rho is not known to come from a measure: nothing is sampled then
+    adjoint = verify_adjointness(ADJOINT_PAIRS, 50, rho, args.seed) if rho.genuine else None
+    return {
         "rho": args.rho,
         "max_order": order,
         "seed": args.seed,
-        "holds": ok,
+        "holds": ok and adjoint is not False,
         "adjointness": adjoint,
         "entries": entries,
     }
-    return payload, ok
 
 
-def _cmd_fid_check(args) -> tuple[dict, bool]:
+def _cmd_fid_check(args) -> dict:
     if not (args.rho or args.sequence):
         raise FreeCommutantError("fid-check needs --rho and/or --sequence")
     size = args.size
@@ -402,36 +373,18 @@ def _cmd_fid_check(args) -> tuple[dict, bool]:
         values = list(seq.values)
         values[1] = -abs(values[1]) - 1  # force a negative leading pivot
         checks[0] = (name, CumulantSequence(values))
-    entries = []
-    for target, seq in checks:
-        verdict = hankel_fid_check(seq, size)
-        entry = {"target": target, "cumulants": seq.to_json()}
-        entry.update(verdict.to_json())
-        entries.append(entry)
-    ok = all(e["psd"] for e in entries)
-    payload = {
-        "command": "fid-check",
-        "size": size,
-        "holds": ok,
-        "entries": entries,
-    }
-    return payload, ok
+    entries = [{"target": target, "cumulants": seq.to_json(),
+                **hankel_fid_check(seq, size).to_json()} for target, seq in checks]
+    return {"size": size, "holds": all(e["psd"] for e in entries), "entries": entries}
 
 
-def _cmd_partitions(args) -> tuple[dict, bool]:
+def _cmd_partitions(args) -> dict:
     kind = PartitionKind(args.kind)
     parts = [p.to_json() for p in iter_partitions(args.n, kind)]
-    payload = {
-        "command": "partitions",
-        "n": args.n,
-        "kind": kind.value,
-        "count": len(parts),
-        "partitions": parts,
-    }
-    return payload, True
+    return {"n": args.n, "kind": kind.value, "count": len(parts), "partitions": parts}
 
 
-def _cmd_cumulants(args) -> tuple[dict, bool]:
+def _cmd_cumulants(args) -> dict:
     order = _order_or_die(args.max_order)
     spec = parse_spec(args.x)
     # an atomic spec has its moments already; the others only their cumulants
@@ -441,14 +394,12 @@ def _cmd_cumulants(args) -> tuple[dict, bool]:
     else:
         seq = spec.cumulants(order)
         moments = moments_from_cumulants(seq, order)
-    payload = {
-        "command": "cumulants",
+    return {
         "x": args.x,
         "max_order": order,
         "cumulants": seq.to_json(),
         "moments": moments.to_json(),
     }
-    return payload, True
 
 
 _HANDLERS = {
@@ -496,10 +447,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        payload, ok = _HANDLERS[args.command](args)
-    except SpecSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        payload = {"command": args.command, **_HANDLERS[args.command](args)}
     except FreeCommutantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -507,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(_render_table(payload))
     else:
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    return 0 if ok else 1
+    return 0 if payload.get("holds", True) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

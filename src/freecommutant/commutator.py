@@ -24,9 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cumulants import (
+    DEFAULT_ORDER_CAP,
     GR_I,
     GR_ONE,
     ORDER_CAP_ENV,
+    S,
+    X,
     CumulantSequence,
     GaussianRational,
     Polynomial,
@@ -47,8 +50,6 @@ from .errors import DomainError, EngineConsistencyError, SizeLimitError, Truncat
 I_S_X = "i[s,x]"
 I_X_S = "i[x,s]"
 
-_S_WORD = "s"
-_X_WORD = "x"
 _SX = "sx"
 _XS = "xs"
 
@@ -68,12 +69,12 @@ def letter_polynomial(letter: str) -> Polynomial:
 
 def sum_with_commutator() -> Polynomial:
     """s + i[s,x]."""
-    return letter_polynomial(_S_WORD) + commutator_polynomial(I_S_X)
+    return letter_polynomial(S) + commutator_polynomial(I_S_X)
 
 
 def perturbed_partner() -> Polynomial:
     """x + i[x,s]."""
-    return letter_polynomial(_X_WORD) + commutator_polynomial(I_X_S)
+    return letter_polynomial(X) + commutator_polynomial(I_X_S)
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ class DistributionPair:
 
     @classmethod
     def standard(cls, dist_x: CumulantSequence, s_variance=1,
-                 max_order: int = 8) -> "DistributionPair":
+                 max_order: int = DEFAULT_ORDER_CAP) -> "DistributionPair":
         """x with a semicircular s whose cumulants run to ``max_order``."""
         return cls(CumulantSequence.semicircular(s_variance, max_order), dist_x)
 
@@ -166,7 +167,7 @@ def freeness_witness(pair: DistributionPair) -> Fraction:
     """kappa_4(s, i[s,x], i[s,x], s): zero for a genuinely free pair, equal
     to kappa_2(s)^2 kappa_2(x) here, hence positive whenever both variances
     are — the witness that s and i[s,x] are not free."""
-    s = letter_polynomial(_S_WORD)
+    s = letter_polynomial(S)
     c = commutator_polynomial(I_S_X)
     value = cumulant_of_polynomials([s, c, c, s], pair.dist_s, pair.dist_x)
     return real_cumulant(value, self_adjoint=True)
@@ -216,7 +217,7 @@ def cancellation_sums(pair: DistributionPair, order: int) -> list[list[Fraction]
     first-block recursion (:func:`graded_moments`).  Any s is accepted."""
     _check_order(order)
     moments = graded_moments(
-        [letter_polynomial(_S_WORD), Polynomial([(_SX, GR_ONE), (_XS, -GR_ONE)])],
+        [letter_polynomial(S), Polynomial([(_SX, GR_ONE), (_XS, -GR_ONE)])],
         pair.dist_s, pair.dist_x, order)
     if any(c.im for m in moments for c in m):
         raise EngineConsistencyError("real input produced an imaginary moment part")

@@ -286,12 +286,14 @@ _COMMANDS = {
 
 
 class TestRemovedFlags:
-    """``--jobs`` is gone from every command and ``--seed`` from all but
-    verify-fock, its only reader: either is an unknown argument."""
+    """``--jobs`` is gone from every command, ``--seed`` from all but
+    verify-fock, its only reader, and ``--s-var`` from verify-closed-form
+    and cumulants, which never read it: each is an unknown argument there."""
 
     @pytest.mark.parametrize("command,flag", [
         (command, flag) for command in _COMMANDS for flag in ("--jobs", "--seed")
-        if (command, flag) != ("verify-fock", "--seed")])
+        if (command, flag) != ("verify-fock", "--seed")] + [
+        ("verify-closed-form", "--s-var"), ("cumulants", "--s-var")])
     def test_exits_two_without_traceback(self, capsys, command, flag):
         code, out, err = run_main([command] + _COMMANDS[command] + [flag, "2"], capsys)
         assert code == 2
