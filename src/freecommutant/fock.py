@@ -8,9 +8,10 @@ into two families whose vacuum moments add up to the cumulants of x + i[x,s]
 when the cumulants of x are the moments of the driving measure; so do the
 paper's sums over compositions, computed here by a first-block recursion.
 Values are exact: ``FockVector`` states and the adjointness checks hold
-``Fraction`` coefficients, while the vacuum-moment walk and the recursion
-run on integer numerators of the dilated moments and divide once per
-output.
+``Fraction`` coefficients.  The model's vacuum moments come from a
+two-level recursion read off the operator table, not from a walk over
+states; it and the first-block recursion run on integer numerators of the
+dilated moments and divide once per output.
 """
 
 from __future__ import annotations
@@ -195,17 +196,23 @@ def inner_product(u: FockVector, v: FockVector, rho: MomentSequence) -> Fraction
     return total
 
 
-def _vacuum_moments(ops: Sequence[OperatorName], order: int,
-                    rho: MomentSequence) -> list[Fraction]:
-    """<(sum of ops)^j Omega, Omega> for j = 1..order from one walk.
-
-    Every operator changes the tensor length by at most one and only
-    length-1 tensors (e,) pair with the vacuum, through m_e, so a tensor
-    longer than the steps still to come plus one is dropped.  A step adds
-    one to the total exponent plus the moment indices of the coefficient,
-    so the walk runs on the integers of :func:`dilate` and the j-th moment
-    is its sum over d^j.
-    """
+def _operator_sums(order: int, rho: MomentSequence) -> tuple[list[Fraction], list[Fraction]]:
+    """<(sum of ops)^j Omega, Omega> for j = 1..order, for HAT_SUM and for
+    TILDE_SUM, from one pass of a two-level recursion: the walk's level
+    structure, read off the rules of :func:`_apply_tensor`.  Each rule
+    touches only the last one or two slots, so the walk is a pushdown system
+    whose levels alternate.  An A level increments its top slot, or does so
+    and pushes a B level, or pops with weight m_{top+1}; a B level pushes a
+    slot 1 as an A level, or pops with weight m_0, incrementing the slot
+    below.  With alpha_j[e] the A-level loops of j steps and e increments,
+    beta_j the B-level loops and g_i = sum_e alpha_i[e] m_{e+2}:
+    alpha_j[e] = alpha_{j-1}[e-1] + sum_i beta_i alpha_{j-2-i}[e-2] and
+    beta_j = sum_i g_i beta_{j-2-i}.  HAT_SUM starts on an A level and reads
+    sum_e alpha_j[e] m_e, TILDE_SUM on a B level and reads beta_j.  This is
+    a derivation from the operator table, not a route independent of it;
+    the tests hold it to the literal walk through :func:`apply`.  Weights
+    are homogeneous in the step count, so the pass runs on the integers of
+    :func:`dilate` and divides by d^j.  O(order^3)."""
     if order < 1:
         raise DomainError(f"order must be positive, got {order}")
     if rho.max_order < order + 1:
@@ -213,35 +220,34 @@ def _vacuum_moments(ops: Sequence[OperatorName], order: int,
             f"model order {order} needs moments to order {order + 1}, have {rho.max_order}"
         )
     m, d = dilate(rho.values[:order + 1])
-    state: dict[tuple[int, ...], int] = {(0,): 1}
-    moments = []
+    alpha, beta, g, hat, tilde = [[1]], [1], [], [], []
     for j in range(1, order + 1):
-        reach = order - j + 1
-        out: dict[tuple[int, ...], int] = {}
-        for op in ops:
-            for t, c in state.items():
-                for grown, k in _apply_tensor(op, t):
-                    if len(grown) <= reach and m[k]:
-                        out[grown] = out.get(grown, 0) + c * m[k]
-        state = {t: c for t, c in out.items() if c}
-        moments.append(Fraction(sum(c * m[t[0]] for t, c in state.items() if len(t) == 1),
-                                d ** j))
-    return moments
+        if j >= 2:
+            g.append(sum(a * m[e + 2] for e, a in enumerate(alpha[j - 2])))
+        beta.append(sum(g[i] * beta[j - 2 - i] for i in range(j - 1)))
+        row = [0] + alpha[j - 1]
+        for i in range(j - 1):
+            if beta[i]:
+                for e, a in enumerate(alpha[j - 2 - i], start=2):
+                    row[e] += beta[i] * a
+        alpha.append(row)
+        hat.append(Fraction(sum(a * m[e] for e, a in enumerate(row)), d ** j))
+        tilde.append(Fraction(beta[j], d ** j))
+    return hat, tilde
 
 
 def model_cumulant_parts(n: int, rho: MomentSequence) -> tuple[Fraction, Fraction]:
     """Vacuum moments of the n-th powers of the two operator sums."""
-    return _vacuum_moments(HAT_SUM, n, rho)[-1], _vacuum_moments(TILDE_SUM, n, rho)[-1]
+    hat, tilde = _operator_sums(n, rho)
+    return hat[-1], tilde[-1]
 
 
 def model_cumulants(order: int, rho: MomentSequence) -> list[Fraction]:
     """kappa_1..kappa_order(x + i[x,s]), each realized as the sum of the
     vacuum moments of the two operator sums, where kappa_m(x) = m_m(rho) and
-    s is standard semicircular.  Each sum is walked from the vacuum once and
-    read after every step.  Exact: a word of n operators from the vacuum
-    never exceeds tensor length n + 1."""
-    hat = _vacuum_moments(HAT_SUM, order, rho)
-    return [h + t for h, t in zip(hat, _vacuum_moments(TILDE_SUM, order, rho))]
+    s is standard semicircular; one pass of :func:`_operator_sums`."""
+    hat, tilde = _operator_sums(order, rho)
+    return [h + t for h, t in zip(hat, tilde)]
 
 
 def model_cumulant(n: int, rho: MomentSequence) -> Fraction:

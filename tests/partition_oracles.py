@@ -10,10 +10,10 @@ grow like the Catalan numbers: keep n at 14 or below.  ``join`` builds the
 lattice join that ``joins_to_full`` decides without materializing.
 ``vacuum_moments_by_apply`` walks the operator model on ``FockVector``
 states of ``Fraction`` coefficients, through ``apply`` and
-``inner_product``: the oracle of the integer walk.  ``fock_graded_moments``
-is Voiculescu's canonical model of an R-transform on the full Fock space
-over {s, x}: the oracle of ``graded_moments``, which it accepts any
-polynomial for, not only those linear in s.
+``inner_product``: the oracle of the model's two-level recursion.
+``fock_graded_moments`` is Voiculescu's canonical model of an R-transform on
+the full Fock space over {s, x}: the oracle of ``graded_moments``, which it
+accepts any polynomial for, not only those linear in s.
 """
 
 from __future__ import annotations

@@ -139,6 +139,31 @@ class TestCommands:
         payload = json.loads(out)
         assert payload["adjointness"] is True
 
+    def test_verify_fock_checks_its_third_route(self, capsys, monkeypatch):
+        closed_form_cumulants = cli.closed_form_cumulants
+
+        def perturbed(order, dist_x):
+            values = closed_form_cumulants(order, dist_x)
+            values[2] += 1  # n = 3
+            return values
+
+        monkeypatch.setattr(cli, "closed_form_cumulants", perturbed)
+        code, out, _ = run_main(
+            ["verify-fock", "--rho", "atomic(1/3:-1,2/3:2)", "--max-order", "5"], capsys)
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["holds"] is False
+        assert [e["holds"] for e in payload["entries"]] == [True, True, False, True, True]
+
+    def test_verify_fock_reports_a_failed_adjointness_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_adjointness", lambda *args: False)
+        code, out, _ = run_main(
+            ["verify-fock", "--rho", "atomic(1/3:-1,2/3:2)", "--max-order", "5"], capsys)
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["holds"] is False and payload["adjointness"] is False
+        assert all(e["holds"] for e in payload["entries"])
+
     def test_fid_check_passes_for_poisson_driver(self, capsys):
         code, out, _ = run_main(["fid-check", "--rho", "atomic(1:1)"], capsys)
         assert code == 0

@@ -17,7 +17,7 @@ from freecommutant.fock import (
     ADJOINT_PAIRS,
     FockVector,
     OperatorName,
-    _vacuum_moments,
+    _apply_tensor,
     apply,
     composition_formula_cumulant,
     composition_formula_cumulants,
@@ -209,7 +209,7 @@ class TestIdentityChain:
 
 
 class TestModelSequencePastOrderTwelve:
-    """One walk per operator sum, read after every step, against the two
+    """The model's one pass over both operator sums against the two
     partition recursions and the partition enumerations at every order."""
 
     @pytest.mark.parametrize("atoms", [
@@ -242,9 +242,17 @@ class TestModelSequencePastOrderTwelve:
             model_cumulants(0, SYM_BERN)
 
 
+def assert_parts_equal_the_literal_walk(rho, order):
+    hat = vacuum_moments_by_apply(HAT_OPS, order, rho)
+    tilde = vacuum_moments_by_apply(TILDE_OPS, order, rho)
+    assert [model_cumulant_parts(n, rho) for n in range(1, order + 1)] == list(zip(hat, tilde))
+    assert model_cumulants(order, rho) == [h + t for h, t in zip(hat, tilde)]
+
+
 class TestIntegerWalk:
-    """The model walk on integer numerators against the walk on Fraction
-    states through apply and inner_product, both operator sums."""
+    """The two-level recursion on integers against the walk on Fraction
+    states through apply and inner_product, both operator sums, and the
+    premise the recursion is read off from."""
 
     @pytest.mark.parametrize("atoms", [
         [(Fraction(1, 3), -1), (Fraction(2, 3), 2)],
@@ -253,9 +261,7 @@ class TestIntegerWalk:
         [(Fraction(1, 2), 0), (Fraction(1, 2), 1)],
     ], ids=["two-atoms", "three-atoms", "prime-denominators", "atom-at-zero"])
     def test_atomic_laws_through_twelve(self, atoms):
-        rho = MomentSequence.from_atoms(atoms, 13)
-        for ops in (HAT_OPS, TILDE_OPS):
-            assert _vacuum_moments(ops, 12, rho) == vacuum_moments_by_apply(ops, 12, rho)
+        assert_parts_equal_the_literal_walk(MomentSequence.from_atoms(atoms, 13), 12)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.one_of(
@@ -264,9 +270,17 @@ class TestIntegerWalk:
         min_size=13, max_size=13))
     @example([Fraction(k % 5 - 2, (2, 3, 5, 7, 11, 13)[k % 6]) for k in range(1, 14)])
     def test_formal_moments_through_twelve(self, moments):
-        rho = MomentSequence([Fraction(1)] + moments)
-        for ops in (HAT_OPS, TILDE_OPS):
-            assert _vacuum_moments(ops, 12, rho) == vacuum_moments_by_apply(ops, 12, rho)
+        assert_parts_equal_the_literal_walk(MomentSequence([Fraction(1)] + moments), 12)
+
+    @pytest.mark.parametrize("op", list(OperatorName))
+    def test_every_rule_keeps_all_but_the_last_two_slots(self, op):
+        # the recursion's premise: a rule reads and writes only the top of a
+        # stack of slots, and adds one to the exponent plus moment index
+        for t in small_tensors(max_len=4, max_exp=3):
+            keep = max(len(t) - 2, 0)
+            for out, k in _apply_tensor(op, t):
+                assert out[:keep] == t[:keep], (op, t, out)
+                assert sum(out) + k == sum(t) + 1, (op, t, out, k)
 
 
 # m_1..m_11 of a formal driving sequence: zeros, negatives and fractions
@@ -307,6 +321,16 @@ class TestPartitionRecursions:
         dist_x = compound_poisson_from_rho(rho, 24)
         models = model_cumulants(24, rho)
         assert models == composition_formula_cumulants(24, rho) == closed_form_cumulants(24, dist_x)
+
+    @pytest.mark.parametrize("atoms", [
+        [(Fraction(1, 3), -1), (Fraction(1, 3), 1), (Fraction(1, 3), 2)],
+        [(Fraction(1, 7), Fraction(-2, 5)), (Fraction(6, 7), Fraction(1, 3))],
+    ], ids=["three-atoms", "prime-denominators"])
+    def test_three_routes_agree_through_forty(self, atoms):
+        rho = MomentSequence.from_atoms(atoms, 41)
+        dist_x = compound_poisson_from_rho(rho, 40)
+        models = model_cumulants(40, rho)
+        assert models == composition_formula_cumulants(40, rho) == closed_form_cumulants(40, dist_x)
 
     def test_pinned_orders_twenty_to_twenty_four(self):
         # three atoms, from the agreement of the model and both recursions
