@@ -49,14 +49,15 @@ from .partitions import PartitionKind, iter_partitions
 
 FAULT_ENV = "FREECOMMUTANT_INJECT_FAULT"
 
-_SPEC_KINDS = ("semicircle", "free-poisson", "atomic", "cumulants", "rho-moments")
+# (kind, opening, closing) of each spec form that parse_spec accepts
+_SPEC_FORMS = (("semicircle", "(", ")"), ("free-poisson", "(", ")"), ("atomic", "(", ")"),
+               ("cumulants", "[", "]"), ("rho-moments", "[", "]"))
 
 
 @dataclass(frozen=True)
 class DistributionSpec:
     """Parsed form of a distribution spec string."""
 
-    source: str
     kind: str
     numbers: tuple[Fraction, ...] = ()
     atoms: tuple[tuple[Fraction, Fraction], ...] = ()
@@ -112,13 +113,7 @@ def parse_spec(text: str) -> DistributionSpec:
     cumulants[c1, ...] | rho-moments[m1, ...]
     """
     src = text.strip()
-    for head, open_c, close_c in (
-        ("semicircle", "(", ")"),
-        ("free-poisson", "(", ")"),
-        ("atomic", "(", ")"),
-        ("cumulants", "[", "]"),
-        ("rho-moments", "[", "]"),
-    ):
+    for head, open_c, close_c in _SPEC_FORMS:
         if src.startswith(head + open_c):
             if not src.endswith(close_c):
                 raise SpecSyntaxError(f"expected closing {close_c!r}", len(src))
@@ -139,7 +134,7 @@ def parse_spec(text: str) -> DistributionSpec:
                     raise SpecSyntaxError("atomic weights must be positive", len(head) + 1)
                 if sum(w for w, _ in atoms) != 1:
                     raise SpecSyntaxError("atomic weights must sum to 1", len(head) + 1)
-                return DistributionSpec(src, "atomic", atoms=tuple(atoms))
+                return DistributionSpec("atomic", atoms=tuple(atoms))
             numbers = []
             for piece in body.split(","):
                 if not piece.strip():
@@ -148,8 +143,8 @@ def parse_spec(text: str) -> DistributionSpec:
                 offset += len(piece) + 1
             if head in ("semicircle", "free-poisson") and len(numbers) != 1:
                 raise SpecSyntaxError(f"{head} takes exactly one parameter", len(head) + 1)
-            return DistributionSpec(src, head, numbers=tuple(numbers))
-    raise SpecSyntaxError(f"expected one of {', '.join(_SPEC_KINDS)}", 0)
+            return DistributionSpec(head, numbers=tuple(numbers))
+    raise SpecSyntaxError(f"expected one of {', '.join(f[0] for f in _SPEC_FORMS)}", 0)
 
 
 def _fault_active() -> bool:
@@ -184,14 +179,16 @@ def _rational(text: str) -> Fraction:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first :func:`main` of a process and reused:
-    parsing leaves it unchanged."""
+    parsing leaves it unchanged.  Each subcommand carries its handler as the
+    ``handler`` default."""
     parser = argparse.ArgumentParser(
         prog="freecommutant",
         description="Exact verification of commutator-distribution identities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, x=False, s_var=False, rho=False, order=None):
+    def common(p, handler, x=False, s_var=False, rho=False, order=None):
+        p.set_defaults(handler=handler)
         if x:
             p.add_argument("--x", required=True, help="distribution spec for x")
         if s_var:
@@ -206,31 +203,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("verify-additivity",
                           help="kappa_n(s+i[s,x]) vs kappa_n(s)+kappa_n(i[s,x])"),
-           x=True, s_var=True, order=6)
+           _cmd_verify_additivity, x=True, s_var=True, order=6)
     common(sub.add_parser("freeness-witness", help="kappa_4(s, i[s,x], i[s,x], s)"),
-           x=True, s_var=True)
+           _cmd_freeness_witness, x=True, s_var=True)
     common(sub.add_parser("cancellation", help="the signed double sums that must vanish"),
-           x=True, s_var=True, order=5)
+           _cmd_cancellation, x=True, s_var=True, order=5)
     common(sub.add_parser("verify-closed-form",
                           help="closed form for kappa_n(x+i[x,s]) vs full expansion"),
-           x=True, order=6)
+           _cmd_verify_closed_form, x=True, order=6)
     fock = sub.add_parser("verify-fock",
                           help="operator model vs composition sums vs closed form")
-    common(fock, rho=True, order=6)
+    common(fock, _cmd_verify_fock, rho=True, order=6)
     fock.add_argument("--seed", type=int, default=0,
                       help="drives the sampled adjointness checks")
     fid = sub.add_parser("fid-check", help="truncated Hankel positivity witnesses")
     fid.add_argument("--rho", help="driving measure for x (atomic or rho-moments)")
     fid.add_argument("--sequence", help="literal cumulants[...] to check directly")
     fid.add_argument("--size", type=_positive_int, default=3)
-    fid.add_argument("--format", choices=("json", "table"), default="json")
+    common(fid, _cmd_fid_check)
     parts = sub.add_parser("partitions", help="enumerate a partition family")
     parts.add_argument("--n", type=int, required=True)
     parts.add_argument("--kind", required=True,
                        choices=[k.value for k in PartitionKind])
-    parts.add_argument("--format", choices=("json", "table"), default="json")
+    common(parts, _cmd_partitions)
     common(sub.add_parser("cumulants", help="cumulant and moment table of a spec"),
-           x=True, order=8)
+           _cmd_cumulants, x=True, order=8)
     return parser
 
 
@@ -252,11 +249,7 @@ def _order_or_die(requested: int, source: str = "--max-order") -> int:
 
 
 def _pair_from_args(args, order: int) -> DistributionPair:
-    spec = parse_spec(args.x)
-    return DistributionPair(
-        CumulantSequence.semicircular(args.s_var, max(order, 2)),
-        spec.cumulants(max(order, 2)),
-    )
+    return DistributionPair.standard(parse_spec(args.x).cumulants(order), args.s_var, order)
 
 
 def _cmd_verify_additivity(args) -> dict:
@@ -324,8 +317,8 @@ def _agreement(**routes) -> tuple[bool, list[dict]]:
 
 def _cmd_verify_closed_form(args) -> dict:
     order = _order_or_die(args.max_order)
-    dist_x = parse_spec(args.x).cumulants(max(order, 2))
-    pair = DistributionPair.standard(dist_x, 1, max_order=max(order, 2))
+    dist_x = parse_spec(args.x).cumulants(order)
+    pair = DistributionPair.standard(dist_x, 1, max_order=order)
     expansion = cumulant_sequence_of(perturbed_partner(), pair, order).values
     ok, entries = _agreement(closed_form=closed_form_cumulants(order, dist_x), expansion=expansion)
     return {"x": args.x, "max_order": order, "holds": ok, "entries": entries}
@@ -334,8 +327,7 @@ def _cmd_verify_closed_form(args) -> dict:
 def _cmd_verify_fock(args) -> dict:
     order = _order_or_die(args.max_order)
     spec = parse_spec(args.rho)
-    rho = spec.rho(max(order + 1, ADJOINT_MOMENT_ORDER) if spec.kind == "atomic"
-                   else order + 1)
+    rho = spec.rho(max(order, ADJOINT_MOMENT_ORDER) if spec.kind == "atomic" else order)
     ok, entries = _agreement(
         model=model_cumulants(order, rho),
         composition=composition_formula_cumulants(order, rho),
@@ -402,18 +394,6 @@ def _cmd_cumulants(args) -> dict:
     }
 
 
-_HANDLERS = {
-    "verify-additivity": _cmd_verify_additivity,
-    "freeness-witness": _cmd_freeness_witness,
-    "cancellation": _cmd_cancellation,
-    "verify-closed-form": _cmd_verify_closed_form,
-    "verify-fock": _cmd_verify_fock,
-    "fid-check": _cmd_fid_check,
-    "partitions": _cmd_partitions,
-    "cumulants": _cmd_cumulants,
-}
-
-
 def _render_table(payload: dict) -> str:
     lines = []
     rows_key = None
@@ -447,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        payload = {"command": args.command, **_HANDLERS[args.command](args)}
+        payload = {"command": args.command, **args.handler(args)}
     except FreeCommutantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

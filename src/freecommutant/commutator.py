@@ -264,5 +264,5 @@ def expansion_cumulant(n: int, dist_x: CumulantSequence, s_variance=1) -> Fracti
     recursion over the law of s (:func:`cumulant_sequence_of`) — the
     independent oracle for :func:`closed_form_cumulant`; exposes the s
     variance, which the closed form normalizes to 1."""
-    pair = DistributionPair.standard(dist_x, s_variance, max_order=max(n, 2))
+    pair = DistributionPair.standard(dist_x, s_variance, max_order=n)
     return cumulant_sequence_of(perturbed_partner(), pair, n).kappa(n)

@@ -207,18 +207,20 @@ def _operator_sums(order: int, rho: MomentSequence) -> tuple[list[Fraction], lis
     below.  With alpha_j[e] the A-level loops of j steps and e increments,
     beta_j the B-level loops and g_i = sum_e alpha_i[e] m_{e+2}:
     alpha_j[e] = alpha_{j-1}[e-1] + sum_i beta_i alpha_{j-2-i}[e-2] and
-    beta_j = sum_i g_i beta_{j-2-i}.  HAT_SUM starts on an A level and reads
-    sum_e alpha_j[e] m_e, TILDE_SUM on a B level and reads beta_j.  This is
+    beta_j = sum_i g_i beta_{j-2-i}.  These expand the generating functions
+    A(y,z) = 1/(1 - yz(1 + yz B(z))) and B(z) = 1/(1 - z^2 G(z)), with
+    G(z) = sum_i g_i z^i, y marking increments and z steps.  HAT_SUM starts
+    on an A level and reads sum_e alpha_j[e] m_e, TILDE_SUM on a B level and
+    reads beta_j; both read m_0..m_order and nothing past it.  This is
     a derivation from the operator table, not a route independent of it;
     the tests hold it to the literal walk through :func:`apply`.  Weights
     are homogeneous in the step count, so the pass runs on the integers of
     :func:`dilate` and divides by d^j.  O(order^3)."""
     if order < 1:
         raise DomainError(f"order must be positive, got {order}")
-    if rho.max_order < order + 1:
+    if rho.max_order < order:
         raise TruncationError(
-            f"model order {order} needs moments to order {order + 1}, have {rho.max_order}"
-        )
+            f"model order {order} needs moments to order {order}, have {rho.max_order}")
     m, d = dilate(rho.values[:order + 1])
     alpha, beta, g, hat, tilde = [[1]], [1], [], [], []
     for j in range(1, order + 1):
@@ -234,12 +236,6 @@ def _operator_sums(order: int, rho: MomentSequence) -> tuple[list[Fraction], lis
         hat.append(Fraction(sum(a * m[e] for e, a in enumerate(row)), d ** j))
         tilde.append(Fraction(beta[j], d ** j))
     return hat, tilde
-
-
-def model_cumulant_parts(n: int, rho: MomentSequence) -> tuple[Fraction, Fraction]:
-    """Vacuum moments of the n-th powers of the two operator sums."""
-    hat, tilde = _operator_sums(n, rho)
-    return hat[-1], tilde[-1]
 
 
 def model_cumulants(order: int, rho: MomentSequence) -> list[Fraction]:

@@ -21,9 +21,9 @@ EXPORTED = [
     "composition_formula_cumulants", "compound_poisson_from_rho", "cumulant_of_polynomials",
     "cumulant_of_word_products", "cumulant_sequence_of", "cumulants_from_moments",
     "enumerate_partitions", "expansion_cumulant", "freeness_witness", "hankel_fid_check",
-    "inner_product", "is_noncrossing", "iter_partitions", "model_cumulant",
-    "model_cumulant_parts", "model_cumulants", "moments_from_cumulants", "perturbed_partner",
-    "sum_with_commutator", "verify_additivity", "verify_adjointness",
+    "inner_product", "is_noncrossing", "iter_partitions", "model_cumulant", "model_cumulants",
+    "moments_from_cumulants", "perturbed_partner", "sum_with_commutator", "verify_additivity",
+    "verify_adjointness",
 ]
 
 

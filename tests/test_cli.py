@@ -132,6 +132,21 @@ class TestCommands:
         assert [e["model"] for e in payload["entries"]] == [
             "1", "3", "4", "9", "16", "35", "71", "157"]
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-fock", "--rho", "rho-moments[1,1,1,1,1,1,1,1]", "--max-order", "8"],
+        ["verify-additivity", "--x", "rho-moments[1]", "--max-order", "1"],
+        ["verify-closed-form", "--x", "rho-moments[1]", "--max-order", "1"],
+    ], ids=["verify-fock", "verify-additivity", "verify-closed-form"])
+    def test_moments_to_the_order_suffice(self, capsys, argv):
+        # at order N no route reads a moment of rho past m_N
+        code, out, _ = run_main(argv, capsys)
+        assert code == 0
+        payload = json.loads(out)
+        validate(payload, SCHEMA)
+        rows = payload.get("entries") or payload["reports"]
+        assert len(rows) == int(argv[-1])
+        assert all(row["holds"] for row in rows)
+
     def test_verify_fock_atomic_runs_adjointness(self, capsys):
         code, out, _ = run_main(
             ["verify-fock", "--rho", "atomic(1:1)", "--max-order", "4", "--seed", "5"], capsys)
@@ -171,6 +186,19 @@ class TestCommands:
         validate(payload, SCHEMA)
         targets = {e["target"]: e["psd"] for e in payload["entries"]}
         assert targets == {"x+i[x,s]": True, "s+i[s,x]": True}
+
+    def test_fid_check_reaches_size_twenty(self, capsys, monkeypatch):
+        # x is compound free Poisson, so x+i[x,s] is freely infinitely
+        # divisible: every truncation of its Hankel matrix is PSD
+        monkeypatch.setenv("FREECOMMUTANT_MAX_ORDER", "40")
+        code, out, _ = run_main(
+            ["fid-check", "--rho", "atomic(1/3:-1,2/3:2)", "--size", "20"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        validate(payload, SCHEMA)
+        verdicts = {e["target"]: (e["psd"], len(e["pivots"])) for e in payload["entries"]}
+        assert verdicts == {"x+i[x,s]": (True, 20), "s+i[s,x]": (True, 20)}
+        assert all(Fraction(p) > 0 for e in payload["entries"] for p in e["pivots"])
 
     def test_fid_check_control_fails_with_exit_one(self, capsys):
         code, out, _ = run_main(
@@ -395,6 +423,12 @@ class TestExitCodes:
         code, _, err = run_main(["freeness-witness", "--x", "free-pois(1)"], capsys)
         assert code == 2
         assert "error:" in err
+
+    def test_atomic_entry_without_colon_is_usage_error(self, capsys):
+        code, out, err = run_main(["cumulants", "--x", "atomic(1/2)"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "atomic entries are weight:atom" in err
 
     def test_order_above_cap_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.delenv("FREECOMMUTANT_MAX_ORDER", raising=False)

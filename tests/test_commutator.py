@@ -37,7 +37,7 @@ from freecommutant.cumulants import (
     graded_moments,
     real_cumulant,
 )
-from freecommutant.errors import DomainError, SizeLimitError
+from freecommutant.errors import DomainError, SizeLimitError, TruncationError
 
 STD_S = CumulantSequence.semicircular(1, 8)
 FP1 = CumulantSequence.free_poisson(1, 8)
@@ -152,6 +152,11 @@ class TestAdditivity:
         pair = DistributionPair.standard(FP1, 1, 2)
         report = verify_additivity(pair, 2)[1]
         assert (report.lhs, report.rhs_s, report.rhs_c) == (3, 1, 2)
+
+    def test_short_s_sequence_is_truncation_error(self):
+        pair = DistributionPair(CumulantSequence.semicircular(1, 3), FP1)
+        with pytest.raises(TruncationError):
+            verify_additivity(pair, 4)
 
     def test_exploratory_mode_flags_hypothesis(self):
         quartic_s = CumulantSequence([0, 1, 0, 1, 0, 0], )

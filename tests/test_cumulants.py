@@ -15,13 +15,16 @@ from freecommutant.cumulants import (
     Polynomial,
     cumulant_of_polynomials,
     cumulant_of_word_products,
+    as_fraction,
     cumulants_from_moments,
     graded_moments,
     moments_from_cumulants,
     polynomial_moments,
+    real_cumulant,
 )
 from freecommutant.errors import (
     DomainError,
+    EngineConsistencyError,
     GroundSetError,
     KindError,
     SizeLimitError,
@@ -87,6 +90,19 @@ class TestSequences:
         with pytest.raises(TruncationError):
             MomentSequence([1, 2]).moment(2)
 
+    def test_as_fraction_takes_exact_values_only(self):
+        assert as_fraction("1/3") == Fraction(1, 3)
+        assert type(as_fraction("1/3")) is Fraction
+        with pytest.raises(DomainError):
+            as_fraction(0.5)
+
+    def test_real_cumulant_refuses_an_imaginary_part(self):
+        assert real_cumulant(GaussianRational.of(2, 0), self_adjoint=True) == 2
+        with pytest.raises(EngineConsistencyError):
+            real_cumulant(GaussianRational.of(2, 1), self_adjoint=True)
+        with pytest.raises(DomainError):
+            real_cumulant(GaussianRational.of(2, 1), self_adjoint=False)
+
     def test_moment_sequence_requires_unit_head(self):
         with pytest.raises(DomainError):
             MomentSequence([2, 1])
@@ -123,6 +139,12 @@ class TestMomentCumulantTransforms:
     def test_point_mass_cumulants(self):
         k = cumulants_from_moments(MomentSequence([1, 1, 1, 1]), 3)
         assert k == CumulantSequence([1, 0, 0])
+
+    def test_past_the_sequence_is_truncation_error(self):
+        with pytest.raises(TruncationError):
+            moments_from_cumulants(FP1, 11)
+        with pytest.raises(TruncationError):
+            cumulants_from_moments(MomentSequence([1, 1, 1, 1]), 4)
 
     @settings(max_examples=60)
     @given(st.lists(rationals, min_size=1, max_size=10))

@@ -18,12 +18,12 @@ from freecommutant.fock import (
     FockVector,
     OperatorName,
     _apply_tensor,
+    _operator_sums,
     apply,
     composition_formula_cumulant,
     composition_formula_cumulants,
     inner_product,
     model_cumulant,
-    model_cumulant_parts,
     model_cumulants,
     verify_adjointness,
 )
@@ -165,10 +165,10 @@ class TestInnerProduct:
 
 class TestModelCumulant:
     def test_first_order_parts(self):
-        assert model_cumulant_parts(1, DELTA1) == (1, 0)
+        assert _operator_sums(1, DELTA1) == ([1], [0])
 
     def test_second_order_parts(self):
-        assert model_cumulant_parts(2, DELTA1) == (2, 1)
+        assert _operator_sums(2, DELTA1) == ([1, 2], [0, 1])
 
     def test_second_order_symmetric_bernoulli(self):
         assert model_cumulant(2, SYM_BERN) == 3
@@ -233,11 +233,14 @@ class TestModelSequencePastOrderTwelve:
         models = model_cumulants(9, SYM_BERN)
         assert model_cumulants(5, SYM_BERN) == models[:5]
         assert [model_cumulant(n, SYM_BERN) for n in range(1, 10)] == models
-        assert [sum(model_cumulant_parts(n, SYM_BERN)) for n in range(1, 10)] == models
+        assert [sum(sums[-1] for sums in _operator_sums(n, SYM_BERN))
+                for n in range(1, 10)] == models
 
     def test_needs_moments_past_the_order(self):
+        # SYM_BERN carries m_0..m_12: enough for order 12, not for 13
         with pytest.raises(TruncationError):
-            model_cumulants(12, SYM_BERN)
+            model_cumulants(13, SYM_BERN)
+        assert model_cumulants(12, SYM_BERN) == composition_formula_cumulants(12, SYM_BERN)
         with pytest.raises(DomainError):
             model_cumulants(0, SYM_BERN)
 
@@ -245,7 +248,7 @@ class TestModelSequencePastOrderTwelve:
 def assert_parts_equal_the_literal_walk(rho, order):
     hat = vacuum_moments_by_apply(HAT_OPS, order, rho)
     tilde = vacuum_moments_by_apply(TILDE_OPS, order, rho)
-    assert [model_cumulant_parts(n, rho) for n in range(1, order + 1)] == list(zip(hat, tilde))
+    assert _operator_sums(order, rho) == (hat, tilde)
     assert model_cumulants(order, rho) == [h + t for h, t in zip(hat, tilde)]
 
 

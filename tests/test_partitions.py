@@ -53,6 +53,12 @@ class TestCanonicalForm:
         with pytest.raises(DomainError):
             Partition(3, [[1, 2], [2, 3]])
 
+    def test_rejects_empty_ground_set_and_empty_block(self):
+        with pytest.raises(DomainError):
+            Partition(0, [])
+        with pytest.raises(DomainError):
+            Partition(2, [[1, 2], []])
+
     def test_json_round_trip(self):
         p = Partition(8, [[1, 2], [3, 4, 8], [5, 6, 7]])
         assert p.to_json() == [[1, 2], [3, 4, 8], [5, 6, 7]]
