@@ -262,6 +262,8 @@ class MomentSequence:
             )
         return self.values[k]
 
+    __getitem__ = moment
+
     def to_json(self) -> list[str]:
         return [format_rational(v) for v in self.values]
 

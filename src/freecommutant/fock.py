@@ -7,11 +7,11 @@ multiplying into the last slot, or contracting against a moment of Y, split
 into two families whose vacuum moments add up to the cumulants of x + i[x,s]
 when the cumulants of x are the moments of the driving measure; so do the
 paper's sums over compositions, computed here by a first-block recursion.
-Values are exact: ``FockVector`` states and the adjointness checks hold
-``Fraction`` coefficients.  The model's vacuum moments come from a
-two-level recursion read off the operator table, not from a walk over
-states; it and the first-block recursion run on integer numerators of the
-dilated moments and divide once per output.
+Values are exact: ``FockVector`` states hold ``Fraction`` coefficients, or
+ints over dilated moments in the adjointness checks.  The vacuum moments
+come from a two-level recursion read off the operator table, not from a
+walk over states; it and the first-block recursion run on integer
+numerators of the dilated moments and divide once per output.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class FockVector:
     @classmethod
     def _trusted(cls, terms: dict[tuple[int, ...], Fraction]) -> "FockVector":
         """Wrap a dict that is already canonical (valid tensors, nonzero
-        Fractions) without validating it again; for vectors built here."""
+        Fractions or ints) without validating it again; for vectors built here."""
         v = object.__new__(cls)
         object.__setattr__(v, "terms", terms)
         return v
@@ -163,33 +163,34 @@ def _apply_tensor(op: OperatorName, t: tuple[int, ...]) -> Iterator[tuple[tuple[
         raise DomainError(f"unknown operator {op!r}")
 
 
-def apply(op: OperatorName, v: FockVector, rho: MomentSequence) -> FockVector:
-    """Linear extension of the per-tensor operator action."""
-    acc: dict[tuple[int, ...], Fraction] = {}
+def apply(op: OperatorName, v: FockVector, rho: MomentSequence | Sequence[int]) -> FockVector:
+    """Linear extension of the per-tensor operator action, over any exact
+    coefficient ring: ``rho[k]`` is m_k, from a ``MomentSequence`` or dilated ints."""
+    acc = {}
     for t, c in v.terms.items():
         for out, k in _apply_tensor(op, t):
-            cw = c * rho.moment(k) if k else c
+            cw = c * rho[k] if k else c
             if cw:
-                acc[out] = acc.get(out, _ZERO) + cw
+                acc[out] = acc.get(out, 0) + cw
                 if not acc[out]:
                     del acc[out]
     return FockVector._trusted(acc)
 
 
-def inner_product(u: FockVector, v: FockVector, rho: MomentSequence) -> Fraction:
+def inner_product(u: FockVector, v: FockVector, rho: MomentSequence | Sequence[int]):
     """Bilinear extension of: tensors of different lengths are orthogonal,
-    equal lengths pair slotwise through moments of Y."""
-    total = _ZERO
-    by_len: dict[int, list[tuple[tuple[int, ...], Fraction]]] = {}
+    equal lengths pair slotwise through moments ``rho[k]`` of Y, as in :func:`apply`."""
+    total = 0
+    by_len = {}
     for t, c in v.terms.items():
         by_len.setdefault(len(t), []).append((t, c))
     for ta, ca in u.terms.items():
         for tb, cb in by_len.get(len(ta), ()):
             prod = ca * cb
             for ea, eb in zip(ta, tb):
-                m = rho.moment(ea + eb)
+                m = rho[ea + eb]
                 if m == 0:
-                    prod = _ZERO
+                    prod = 0
                     break
                 prod *= m
             total += prod
@@ -275,42 +276,49 @@ def composition_formula_cumulant(n: int, rho: MomentSequence) -> Fraction:
     return composition_formula_cumulants(n, rho)[-1]
 
 
-# Exponents of the sampled tensors reach _SAMPLE_EXPONENT; one operator
-# raises an exponent by at most one (and reads a moment no higher), and the
-# inner product pairs it with an unraised exponent of the other sample.
+# Sampled tensors have at most 5 slots with exponents to _SAMPLE_EXPONENT; one
+# operator raises an exponent by at most one (and reads a moment no higher),
+# and the inner product pairs it with an unraised exponent of the other sample.
 _SAMPLE_EXPONENT = 3
+_SAMPLE_TOTAL = 5 * _SAMPLE_EXPONENT
 ADJOINT_MOMENT_ORDER = 2 * _SAMPLE_EXPONENT + 1
 
 
-def _random_vector(rng: random.Random) -> FockVector:
-    terms = []
+def _random_vector(rng: random.Random, d: int) -> FockVector:
+    """One or two terms num/den t (num in -3..3, den in 1..3), held as the
+    ints 6 d^(T - |t|) num/den, with |t| the total exponent, T _SAMPLE_TOTAL."""
+    acc: dict[tuple[int, ...], int] = {}
     for _ in range(rng.randint(1, 2)):
-        length = rng.randint(1, 5)
-        tensor = tuple(rng.randint(0, _SAMPLE_EXPONENT) for _ in range(length))
-        coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        terms.append((tensor, coeff))
-    return FockVector(terms)
+        tensor = tuple(rng.randint(0, _SAMPLE_EXPONENT) for _ in range(rng.randint(1, 5)))
+        c = rng.randint(-3, 3) * (6 // rng.randint(1, 3)) * d ** (_SAMPLE_TOTAL - sum(tensor))
+        acc[tensor] = acc.get(tensor, 0) + c
+        if not acc[tensor]:
+            del acc[tensor]
+    return FockVector._trusted(acc)
 
 
 def verify_adjointness(pairs: Sequence[tuple[OperatorName, OperatorName]],
                        samples: int, rho: MomentSequence, seed: int) -> bool:
     """Check <A u, v> = <u, B v> exactly on seeded pseudo-random small states
-    for each (A, B) pair; requires a genuine-measure moment sequence, since
-    adjointness is only meaningful for a true bilinear form.  Needs moments
-    to order :data:`ADJOINT_MOMENT_ORDER`."""
+    for each (A, B) pair; needs a genuine-measure moment sequence (adjointness
+    means nothing for a formal one) to order :data:`ADJOINT_MOMENT_ORDER`, a
+    sample and a pair.  States hold ints over :func:`dilate`'s moments: every
+    :func:`_apply_tensor` rule adds one to total exponent plus moment index, so
+    each side is exactly 36 d^(2T + 1) times its value on the rational states."""
+    if samples < 1 or not pairs:
+        raise DomainError(f"adjointness checks need a sample and a pair, got {samples}, {pairs!r}")
     if not rho.genuine:
         raise DomainError("adjointness checks need a genuine-measure moment sequence")
     if rho.max_order < ADJOINT_MOMENT_ORDER:
         raise TruncationError(
             f"adjointness samples need moments to order {ADJOINT_MOMENT_ORDER},"
             f" have {rho.max_order}")
+    m, d = dilate(rho.values[:ADJOINT_MOMENT_ORDER + 1])
     rng = random.Random(seed)
     for _ in range(samples):
-        u = _random_vector(rng)
-        v = _random_vector(rng)
+        u = _random_vector(rng, d)
+        v = _random_vector(rng, d)
         for a, b in pairs:
-            lhs = inner_product(apply(a, u, rho), v, rho)
-            rhs = inner_product(u, apply(b, v, rho), rho)
-            if lhs != rhs:
+            if inner_product(apply(a, u, m), v, m) != inner_product(u, apply(b, v, m), m):
                 return False
     return True

@@ -11,6 +11,9 @@ lattice join that ``joins_to_full`` decides without materializing.
 ``vacuum_moments_by_apply`` walks the operator model on ``FockVector``
 states of ``Fraction`` coefficients, through ``apply`` and
 ``inner_product``: the oracle of the model's two-level recursion.
+``adjointness_by_fractions`` is the adjointness check on ``Fraction``
+states over the moments themselves, drawn from the same seeded stream as
+``verify_adjointness`` draws its integer states from.
 ``fock_graded_moments`` is Voiculescu's canonical model of an R-transform on
 the full Fock space over {s, x}: the oracle of ``graded_moments``, which it
 accepts any polynomial for, not only those linear in s.
@@ -19,6 +22,7 @@ accepts any polynomial for, not only those linear in s.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -34,7 +38,13 @@ from freecommutant.cumulants import (
     _kappa_table,
 )
 from freecommutant.errors import DomainError, GroundSetError, KindError
-from freecommutant.fock import FockVector, OperatorName, apply, inner_product
+from freecommutant.fock import (
+    _SAMPLE_EXPONENT,
+    FockVector,
+    OperatorName,
+    apply,
+    inner_product,
+)
 from freecommutant.partitions import Partition, PartitionKind, is_noncrossing, iter_partitions
 
 
@@ -238,6 +248,33 @@ def vacuum_moments_by_apply(ops: Sequence[OperatorName], order: int,
         state = FockVector({t: c for t, c in out.terms.items() if len(t) <= reach})
         moments.append(inner_product(state, vacuum, rho))
     return moments
+
+
+def random_fraction_vector(rng: random.Random) -> FockVector:
+    """The sample state that ``verify_adjointness`` draws from the same
+    stream, with its rational coefficients num/den (num in -3..3, den in
+    1..3) as they are."""
+    terms = []
+    for _ in range(rng.randint(1, 2)):
+        length = rng.randint(1, 5)
+        tensor = tuple(rng.randint(0, _SAMPLE_EXPONENT) for _ in range(length))
+        coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        terms.append((tensor, coeff))
+    return FockVector(terms)
+
+
+def adjointness_by_fractions(pairs: Sequence[tuple[OperatorName, OperatorName]],
+                             samples: int, rho: MomentSequence, seed: int) -> bool:
+    """<A u, v> = <u, B v> for each (A, B) pair on ``samples`` pairs of
+    seeded ``Fraction`` states, over the moments of rho."""
+    rng = random.Random(seed)
+    for _ in range(samples):
+        u = random_fraction_vector(rng)
+        v = random_fraction_vector(rng)
+        for a, b in pairs:
+            if inner_product(apply(a, u, rho), v, rho) != inner_product(u, apply(b, v, rho), rho):
+                return False
+    return True
 
 
 def over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,16 +10,18 @@ from freecommutant.commutator import (
     closed_form_cumulants,
     expansion_cumulant,
 )
-from freecommutant.cumulants import CumulantSequence, MomentSequence
+from freecommutant.cumulants import CumulantSequence, MomentSequence, dilate
 from freecommutant.errors import DomainError, TruncationError
 from freecommutant.fid import compound_poisson_from_rho
 from freecommutant.fock import (
     ADJOINT_MOMENT_ORDER,
     ADJOINT_PAIRS,
+    _SAMPLE_EXPONENT,
     FockVector,
     OperatorName,
     _apply_tensor,
     _operator_sums,
+    _random_vector,
     apply,
     composition_formula_cumulant,
     composition_formula_cumulants,
@@ -28,8 +31,10 @@ from freecommutant.fock import (
     verify_adjointness,
 )
 from partition_oracles import (
+    adjointness_by_fractions,
     enumerated_closed_form,
     enumerated_composition_formula,
+    random_fraction_vector,
     vacuum_moments_by_apply,
 )
 
@@ -77,6 +82,12 @@ class TestRhoMoments:
             verify_adjointness(ADJOINT_PAIRS, 5, formal, seed=0)
         with pytest.raises(AttributeError):
             formal.values = ()
+
+    def test_indexing_reads_the_moments_and_stops_at_the_ends(self):
+        assert [DELTA2[k] for k in range(13)] == [DELTA2.moment(k) for k in range(13)]
+        for k in (13, -1):
+            with pytest.raises(TruncationError):
+                DELTA2[k]
 
 
 class TestApply:
@@ -356,7 +367,78 @@ class TestPartitionRecursions:
             closed_form_cumulants(0, compound_poisson_from_rho(DELTA1, 4))
 
 
+# Pairs the model does not claim adjoint: controls the check should refute.
+NON_ADJOINT_PAIRS = (
+    (OperatorName.XSHAT, OperatorName.XSHAT),
+    (OperatorName.XHAT, OperatorName.XTILDE),
+    (OperatorName.XSTILDE, OperatorName.XSTILDE),
+    (OperatorName.SXHAT, OperatorName.XSTILDE),
+)
+BIG_DENOMINATOR_ATOMS = [(Fraction(1, 3), Fraction(1, 10 ** 23)),
+                         (Fraction(2, 3), Fraction(-7, 10 ** 20 + 1))]
+
+
+@st.composite
+def _atomic_laws(draw):
+    """1 to 6 atoms with positive weights, some positions over denominators
+    past 10^20."""
+    n = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    dens = st.integers(1, 4) | st.integers(10 ** 20, 10 ** 21)
+    points = draw(st.lists(st.builds(Fraction, st.integers(-6, 6), dens), min_size=n, max_size=n))
+    return [(Fraction(w, sum(weights)), p) for w, p in zip(weights, points)]
+
+
 class TestAdjointness:
+    @settings(max_examples=40, deadline=None)
+    @given(_atomic_laws(), st.integers(0, 2 ** 32))
+    @example(BIG_DENOMINATOR_ATOMS, 7)
+    @example([(Fraction(1, 2), -1), (Fraction(1, 2), 1)], 11)  # a control holds here
+    def test_integer_states_give_the_fraction_verdict(self, atoms, seed):
+        rho = MomentSequence.from_atoms(atoms, ADJOINT_MOMENT_ORDER)
+        assert verify_adjointness(ADJOINT_PAIRS, 50, rho, seed)
+        assert adjointness_by_fractions(ADJOINT_PAIRS, 50, rho, seed)
+        # With every odd moment 0 (a symmetric law, or all mass at 0) most
+        # pairings vanish, and 50 samples miss a control at some seeds.
+        refutable = any(rho[k] for k in range(1, ADJOINT_MOMENT_ORDER + 1, 2))
+        for pair in NON_ADJOINT_PAIRS:
+            verdict = verify_adjointness([pair], 50, rho, seed)
+            assert verdict == adjointness_by_fractions([pair], 50, rho, seed), pair
+            assert not (refutable and verdict), pair
+
+    @pytest.mark.parametrize("atoms", [
+        [(1, 2)],
+        [(Fraction(1, 2), Fraction(-1, 2)), (Fraction(1, 2), 3)],
+        BIG_DENOMINATOR_ATOMS,
+    ], ids=["delta", "halves", "big-denominator"])
+    def test_integer_image_is_the_scaled_fraction_image(self, atoms):
+        # 6 d^(T - |t|) per sample term, and one more d per operator, with T
+        # the largest total exponent of a sample: 5 slots at _SAMPLE_EXPONENT
+        rho = MomentSequence.from_atoms(atoms, ADJOINT_MOMENT_ORDER)
+        m, d = dilate(rho.values)
+        top = 5 * _SAMPLE_EXPONENT
+        for seed in range(10):
+            rng, rng_fractions = random.Random(seed), random.Random(seed)
+            for _ in range(4):
+                u = _random_vector(rng, d)
+                u_fractions = random_fraction_vector(rng_fractions)
+                assert u.terms == {t: 6 * d ** (top - sum(t)) * c
+                                   for t, c in u_fractions.terms.items()}
+                for op in OperatorName:
+                    image = apply(op, u, m).terms
+                    assert all(type(c) is int for c in image.values())
+                    assert image == {t: 6 * d ** (top + 1 - sum(t)) * c
+                                     for t, c in apply(op, u_fractions, rho).terms.items()}
+
+    @pytest.mark.parametrize("pairs,samples", [
+        ([(OperatorName.XSHAT, OperatorName.XSHAT)], 0),
+        ([(OperatorName.XSHAT, OperatorName.XSHAT)], -4),
+        ([], 50),
+    ], ids=["no-sample", "negative-samples", "no-pair"])
+    def test_a_check_of_nothing_is_domain_error(self, pairs, samples):
+        with pytest.raises(DomainError):
+            verify_adjointness(pairs, samples, DELTA2, seed=3)
+
     def test_moment_order_is_enough_and_enforced(self):
         for atoms in ([(1, 1)], [(Fraction(1, 2), -1), (Fraction(1, 2), 2)]):
             rho = MomentSequence.from_atoms(atoms, ADJOINT_MOMENT_ORDER)
