@@ -27,16 +27,13 @@ from .commutator import (
     verify_additivity,
 )
 from .cumulants import (
-    DEFAULT_ORDER_CAP,
-    ORDER_CAP_ENV,
     CumulantSequence,
     MomentSequence,
     cumulants_from_moments,
     format_rational,
     moments_from_cumulants,
-    resolve_order_cap,
 )
-from .errors import FreeCommutantError, SpecSyntaxError
+from .errors import FreeCommutantError, SizeLimitError, SpecSyntaxError
 from .fid import compound_poisson_from_rho, hankel_fid_check
 from .fock import (
     ADJOINT_MOMENT_ORDER,
@@ -48,6 +45,19 @@ from .fock import (
 from .partitions import PartitionKind, iter_partitions
 
 FAULT_ENV = "FREECOMMUTANT_INJECT_FAULT"
+ORDER_CAP_ENV = "FREECOMMUTANT_MAX_ORDER"
+DEFAULT_ORDER_CAP = 8
+
+# Bell / Catalan / 2^(n-1) growth: at these sizes the ``partitions`` command,
+# which holds every partition in its report, takes at most about 4.5 s and
+# 250 MiB on a 2-CPU machine.
+ENUMERATION_CAPS = {
+    PartitionKind.ALL: 10,
+    PartitionKind.NC: 11,
+    PartitionKind.INTERVAL: 17,
+    PartitionKind.INTERVAL_MIN2: 24,
+    PartitionKind.NC_IRREDUCIBLE: 12,
+}
 
 # (kind, opening, closing) of each spec form that parse_spec accepts
 _SPEC_FORMS = (("semicircle", "(", ")"), ("free-poisson", "(", ")"), ("atomic", "(", ")"),
@@ -232,9 +242,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _order_or_die(requested: int, source: str = "--max-order") -> int:
-    """The order, unless it is above the cap; ``source`` names the option
-    it comes from in the message."""
-    cap = resolve_order_cap()
+    """The order, unless it is above the cap that ``FREECOMMUTANT_MAX_ORDER``
+    sets (8 when unset), the only cap on an order: the library computes any
+    order it is asked for.  ``source`` names the option in the message."""
+    raw = os.environ.get(ORDER_CAP_ENV)
+    try:
+        cap = DEFAULT_ORDER_CAP if raw is None else int(raw)
+    except ValueError:
+        raise FreeCommutantError(f"{ORDER_CAP_ENV} must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise FreeCommutantError(f"{ORDER_CAP_ENV} must be positive, got {cap}")
     if requested > cap:
         raise FreeCommutantError(
             f"order {requested} (from {source}) exceeds the cap {cap};"
@@ -372,6 +389,10 @@ def _cmd_fid_check(args) -> dict:
 
 def _cmd_partitions(args) -> dict:
     kind = PartitionKind(args.kind)
+    cap = ENUMERATION_CAPS[kind]
+    if not 1 <= args.n <= cap:
+        raise SizeLimitError(
+            f"enumeration of {kind.value} partitions supports 1 <= n <= {cap}, got {args.n}")
     parts = [p.to_json() for p in iter_partitions(args.n, kind)]
     return {"n": args.n, "kind": kind.value, "count": len(parts), "partitions": parts}
 

@@ -12,9 +12,7 @@ coefficients of kappa_n(s + t(sx - xs)) in t, every order from one t-graded
 pass of the same recursion and the moment-cumulant recursion over
 polynomials in t.  On the joint cumulants of word products of
 :mod:`.cumulants`: the fourth-order witness showing s and i[s,x] are
-nevertheless not free.  Every requested order is checked against the cap
-that ``FREECOMMUTANT_MAX_ORDER`` sets; the witness has a fixed order and
-requests none.
+nevertheless not free.
 """
 
 from __future__ import annotations
@@ -24,10 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cumulants import (
-    DEFAULT_ORDER_CAP,
     GR_I,
     GR_ONE,
-    ORDER_CAP_ENV,
     S,
     X,
     CumulantSequence,
@@ -43,9 +39,8 @@ from .cumulants import (
     graded_moments,
     polynomial_moments,
     real_cumulant,
-    resolve_order_cap,
 )
-from .errors import DomainError, EngineConsistencyError, SizeLimitError, TruncationError
+from .errors import DomainError, EngineConsistencyError, TruncationError
 
 I_S_X = "i[s,x]"
 I_X_S = "i[x,s]"
@@ -86,8 +81,7 @@ class DistributionPair:
     dist_x: CumulantSequence
 
     @classmethod
-    def standard(cls, dist_x: CumulantSequence, s_variance=1,
-                 max_order: int = DEFAULT_ORDER_CAP) -> "DistributionPair":
+    def standard(cls, dist_x: CumulantSequence, s_variance, max_order: int) -> "DistributionPair":
         """x with a semicircular s whose cumulants run to ``max_order``."""
         return cls(CumulantSequence.semicircular(s_variance, max_order), dist_x)
 
@@ -104,7 +98,6 @@ class AdditivityReport:
     lhs: Fraction
     rhs_s: Fraction
     rhs_c: Fraction
-    hypothesis_met: bool = True
 
     @property
     def holds(self) -> bool:
@@ -120,12 +113,6 @@ class AdditivityReport:
         }
 
 
-def _check_order(order: int) -> None:
-    cap = resolve_order_cap()
-    if order > cap:
-        raise SizeLimitError(f"order {order} exceeds the cap {cap}; raise it via {ORDER_CAP_ENV}")
-
-
 def cumulant_sequence_of(p: Polynomial, pair: DistributionPair, order: int) -> CumulantSequence:
     """kappa_1..kappa_order of a polynomial linear in s, by inverting its
     moments from the B-valued recursion (:func:`polynomial_moments`).
@@ -133,7 +120,6 @@ def cumulant_sequence_of(p: Polynomial, pair: DistributionPair, order: int) -> C
     Imaginary parts must vanish for self-adjoint input; a violation is an
     engine bug, not a data error.
     """
-    _check_order(order)
     moments = polynomial_moments(p, pair.dist_s, pair.dist_x, order)
     return cumulants_from_moments(moments, order)
 
@@ -142,13 +128,12 @@ def verify_additivity(pair: DistributionPair, order: int) -> list[AdditivityRepo
     """Compare kappa_n(s + i[s,x]) with kappa_n(s) + kappa_n(i[s,x]) for
     n = 1..order.
 
-    With a non-semicircular s the comparison still runs (exploratory mode)
-    and every report carries hypothesis_met = False.
+    With a non-semicircular s the comparison still runs (exploratory mode);
+    ``pair.semicircular_hypothesis`` says which mode ran.
     """
     if order > pair.dist_s.max_order:
         raise TruncationError(
             f"s cumulants available to order {pair.dist_s.max_order}, need {order}")
-    hypothesis = pair.semicircular_hypothesis
     lhs = cumulant_sequence_of(sum_with_commutator(), pair, order)
     rhs_c = cumulant_sequence_of(commutator_polynomial(I_S_X), pair, order)
     return [
@@ -157,7 +142,6 @@ def verify_additivity(pair: DistributionPair, order: int) -> list[AdditivityRepo
             lhs=lhs.kappa(n),
             rhs_s=pair.dist_s.kappa(n),
             rhs_c=rhs_c.kappa(n),
-            hypothesis_met=hypothesis,
         )
         for n in range(1, order + 1)
     ]
@@ -215,7 +199,6 @@ def cancellation_sums(pair: DistributionPair, order: int) -> list[list[Fraction]
     kappa_n(s + t(sx - xs)), whose t^k coefficient is the double sum of
     :func:`cancellation_sum`; all from one t-graded pass of the B-valued
     first-block recursion (:func:`graded_moments`).  Any s is accepted."""
-    _check_order(order)
     moments = graded_moments(
         [letter_polynomial(S), Polynomial([(_SX, GR_ONE), (_XS, -GR_ONE)])],
         pair.dist_s, pair.dist_x, order)
@@ -232,7 +215,6 @@ def cancellation_sum(n: int, k: int, pair: DistributionPair) -> GaussianRational
     read from :func:`cancellation_sums`."""
     if not 1 <= k < n:
         raise DomainError(f"need 1 <= k < n, got k={k}, n={n}")
-    _check_order(n)
     if not pair.semicircular_hypothesis:
         raise DomainError("cancellation_sum requires a semicircular s")
     return GaussianRational(cancellation_sums(pair, n)[n - 1][k])

@@ -27,7 +27,6 @@ import functools
 import itertools
 import math
 import operator
-import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,25 +43,8 @@ S = "s"
 X = "x"
 _ALPHABET = frozenset((S, X))
 
-DEFAULT_ORDER_CAP = 8
-ORDER_CAP_ENV = "FREECOMMUTANT_MAX_ORDER"
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def resolve_order_cap() -> int:
-    """Effective order cap: the environment override, else the default of 8."""
-    raw = os.environ.get(ORDER_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ORDER_CAP
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"{ORDER_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise DomainError(f"{ORDER_CAP_ENV} must be positive, got {value}")
-    return value
 
 
 def as_fraction(value) -> Fraction:
@@ -187,22 +169,22 @@ class CumulantSequence:
         return all(v == 0 for k, v in enumerate(self.values, start=1) if k != 2)
 
     @classmethod
-    def semicircular(cls, variance=1, order: int = DEFAULT_ORDER_CAP) -> "CumulantSequence":
+    def semicircular(cls, variance, order: int) -> "CumulantSequence":
         v = as_fraction(variance)
         return cls([v if k == 2 else 0 for k in range(1, order + 1)])
 
     @classmethod
-    def free_poisson(cls, rate=1, order: int = DEFAULT_ORDER_CAP) -> "CumulantSequence":
+    def free_poisson(cls, rate, order: int) -> "CumulantSequence":
         r = as_fraction(rate)
         return cls([r] * order)
 
     @classmethod
-    def point_mass(cls, atom, order: int = DEFAULT_ORDER_CAP) -> "CumulantSequence":
+    def point_mass(cls, atom, order: int) -> "CumulantSequence":
         a = as_fraction(atom)
         return cls([a if k == 1 else 0 for k in range(1, order + 1)])
 
     @classmethod
-    def zero(cls, order: int = DEFAULT_ORDER_CAP) -> "CumulantSequence":
+    def zero(cls, order: int) -> "CumulantSequence":
         return cls([0] * order)
 
     def dilated(self, c) -> "CumulantSequence":
@@ -500,23 +482,12 @@ def cumulant_of_word_products(words: Sequence[str],
     """Joint cumulant of the products spelled by ``words``: the sum of the
     block products of cumulants over the non-crossing partitions of the
     letter positions whose join with the word-grouping interval partition is
-    the one-block partition, by :func:`_joined_cumulant`.  The letter count
-    is capped at twice the order cap, as every order is capped, so that no
-    call runs away; but never below twice the default cap, so that a
-    fixed-order cumulant such as the six-letter freeness witness does not
-    hinge on a lowered cap."""
+    the one-block partition, by :func:`_joined_cumulant`."""
     tup = tuple(words)
     if not tup:
         raise DomainError("need at least one word")
     for w in tup:
         _check_word(w)
-    letters_total = sum(len(w) for w in tup)
-    cap = 2 * max(resolve_order_cap(), DEFAULT_ORDER_CAP)
-    if letters_total > cap:
-        raise SizeLimitError(
-            f"{letters_total} letters exceeds the cap of {cap}"
-            f" (= 2x order cap; raise via {ORDER_CAP_ENV})"
-        )
     return _joined_cumulant(tup, dist_s, dist_x)
 
 

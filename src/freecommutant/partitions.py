@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError, GroundSetError, KindError, SizeLimitError
+from .errors import DomainError, GroundSetError, KindError
 
 
 class PartitionKind(Enum):
@@ -23,18 +23,6 @@ class PartitionKind(Enum):
     INTERVAL = "interval"
     INTERVAL_MIN2 = "interval-min2"
     NC_IRREDUCIBLE = "nc-irreducible"
-
-
-# Bell / Catalan / 2^(n-1) growth: at these sizes the ``partitions`` command,
-# which holds every partition in its report, takes at most about 4.5 s and
-# 250 MiB on a 2-CPU machine.
-ENUMERATION_CAPS = {
-    PartitionKind.ALL: 10,
-    PartitionKind.NC: 11,
-    PartitionKind.INTERVAL: 17,
-    PartitionKind.INTERVAL_MIN2: 24,
-    PartitionKind.NC_IRREDUCIBLE: 12,
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,11 +205,8 @@ def _iter_all_blocklists(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
 
 def iter_partitions(n: int, kind: PartitionKind) -> Iterator[Partition]:
     """Lazily yield every partition of the kind exactly once, deterministically."""
-    cap = ENUMERATION_CAPS[kind]
-    if not 1 <= n <= cap:
-        raise SizeLimitError(
-            f"enumeration of {kind.value} partitions supports 1 <= n <= {cap}, got {n}"
-        )
+    if n < 1:
+        raise DomainError(f"ground-set size must be positive, got {n}")
     if kind is PartitionKind.ALL:
         source = _iter_all_blocklists(n)
     elif kind is PartitionKind.NC:

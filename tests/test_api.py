@@ -37,8 +37,8 @@ def test_every_exported_name_resolves():
 
 
 def test_no_call_site_knobs():
-    # the order cap comes from FREECOMMUTANT_MAX_ORDER alone, and no
-    # function takes a cache or a choice of walk
+    # no function takes an order cap, a cache or a choice of walk; the
+    # CLI alone caps orders
     for name in freecommutant.__all__:
         obj = getattr(freecommutant, name)
         if inspect.isfunction(obj):
@@ -53,3 +53,24 @@ def test_cumulants_does_not_import_partitions():
     imported = {node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level}
     assert "partitions" not in imported
+
+
+def test_only_the_cli_reads_process_global_inputs():
+    # the library computes what it is asked; the order cap, its environment
+    # variable and the partition bounds belong to the command line
+    limits = {"FREECOMMUTANT_MAX_ORDER", "DEFAULT_ORDER_CAP", "ENUMERATION_CAPS"}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                assert "os" not in {a.name for a in node.names}, path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "os", path.name
+                assert not {a.name for a in node.names} & limits, path.name
+            elif isinstance(node, ast.Name):
+                assert node.id not in limits, (path.name, node.id)
+            elif isinstance(node, ast.Attribute):
+                assert node.attr not in limits | {"environ", "getenv"}, (path.name, node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                assert not any(name in node.value for name in limits), (path.name, node.value)

@@ -15,8 +15,15 @@ from jsonschema import validate
 
 from freecommutant import cli
 from freecommutant.cli import main, parse_spec
-from freecommutant.cumulants import CumulantSequence, MomentSequence, moments_from_cumulants
+from freecommutant.commutator import DistributionPair, cancellation_sums, verify_additivity
+from freecommutant.cumulants import (
+    CumulantSequence,
+    MomentSequence,
+    cumulant_of_word_products,
+    moments_from_cumulants,
+)
 from freecommutant.errors import SpecSyntaxError
+from freecommutant.partitions import PartitionKind, iter_partitions
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text())
@@ -94,9 +101,10 @@ class TestCommands:
         assert payload["witness"] == "1"
         assert "not free" in payload["note"]
 
-    @pytest.mark.parametrize("cap", ["1", "2"])
+    @pytest.mark.parametrize("cap", ["1", "2", "abc", "0"])
     def test_freeness_witness_is_not_held_to_the_order_cap(self, capsys, monkeypatch, cap):
-        # a fixed order-4 cumulant of six letters, whatever the cap
+        # a fixed order-4 cumulant of six letters, whatever the cap, which
+        # the command never reads
         argv = ["freeness-witness", "--x", "free-poisson(1)"]
         default = run_main(argv, capsys)
         monkeypatch.setenv("FREECOMMUTANT_MAX_ORDER", cap)
@@ -476,6 +484,26 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert f"<= {n - 1}, got {n}" in err and "Traceback" not in err
+        code, out, err = run_main(["partitions", "--n", "0", "--kind", kind], capsys)
+        assert (code, out) == (2, "") and "1 <= n" in err
+
+    @pytest.mark.parametrize("cap", ["abc", "0"])
+    def test_partitions_is_not_held_to_the_order_cap(self, capsys, monkeypatch, cap):
+        argv = ["partitions", "--n", "4", "--kind", "nc"]
+        default = run_main(argv, capsys)
+        monkeypatch.setenv("FREECOMMUTANT_MAX_ORDER", cap)
+        assert run_main(argv, capsys) == default
+        assert default[0] == 0 and not default[2]
+
+    def test_the_library_ignores_the_cap(self, monkeypatch):
+        # only the command line reads the variable; a library call computes
+        # whatever order it is asked for
+        monkeypatch.setenv("FREECOMMUTANT_MAX_ORDER", "abc")
+        pair = DistributionPair.standard(CumulantSequence.free_poisson(1, 12), 1, 12)
+        assert all(r.holds for r in verify_additivity(pair, 12))
+        assert len(cancellation_sums(pair, 10)) == 10
+        assert cumulant_of_word_products(("sx",) * 9, pair.dist_s, pair.dist_x) == 0
+        assert next(iter_partitions(13, PartitionKind.NC)).n == 13
 
     def test_env_override_raises_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("FREECOMMUTANT_MAX_ORDER", "10")

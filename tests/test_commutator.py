@@ -37,7 +37,7 @@ from freecommutant.cumulants import (
     graded_moments,
     real_cumulant,
 )
-from freecommutant.errors import DomainError, SizeLimitError, TruncationError
+from freecommutant.errors import DomainError, TruncationError
 
 STD_S = CumulantSequence.semicircular(1, 8)
 FP1 = CumulantSequence.free_poisson(1, 8)
@@ -120,10 +120,14 @@ class TestCumulantSequenceOf:
         seq_x = cumulant_sequence_of(letter_polynomial("x"), pair, 6)
         assert seq_x.values == pair.dist_x.values[:6]
 
-    def test_order_cap(self):
-        pair = DistributionPair.standard(FP1, 1, 8)
-        with pytest.raises(SizeLimitError):
-            cumulant_sequence_of(letter_polynomial("s"), pair, 9)
+    def test_no_order_cap(self, monkeypatch):
+        # the library computes any order its inputs reach; only the CLI caps
+        monkeypatch.delenv("FREECOMMUTANT_MAX_ORDER", raising=False)
+        pair = DistributionPair.standard(CumulantSequence.free_poisson(1, 9), 1, 9)
+        seq = cumulant_sequence_of(letter_polynomial("x"), pair, 9)
+        assert seq.values == pair.dist_x.values
+        with pytest.raises(TruncationError):
+            cumulant_sequence_of(letter_polynomial("s"), DistributionPair.standard(FP1, 1, 8), 9)
 
     def test_imaginary_parts_vanish_for_self_adjoint_suite(self):
         pair = DistributionPair(GENERIC_S := CumulantSequence(
@@ -140,7 +144,7 @@ class TestAdditivity:
         pair = DistributionPair.standard(bernoulli_half(), 1, 6)
         reports = verify_additivity(pair, 6)
         assert all(r.holds for r in reports)
-        assert all(r.hypothesis_met for r in reports)
+        assert pair.semicircular_hypothesis
 
     def test_point_mass_is_degenerate(self):
         pair = DistributionPair.standard(CumulantSequence.point_mass(5, 6), 1, 6)
@@ -162,7 +166,7 @@ class TestAdditivity:
         quartic_s = CumulantSequence([0, 1, 0, 1, 0, 0], )
         pair = DistributionPair(quartic_s, FP1)
         reports = verify_additivity(pair, 4)
-        assert all(not r.hypothesis_met for r in reports)
+        assert not pair.semicircular_hypothesis
 
     def test_exploratory_mode_detects_failures(self):
         # negative control: a free Poisson in place of the semicircular
@@ -172,7 +176,7 @@ class TestAdditivity:
         reports = verify_additivity(pair, 4)
         assert reports[0].holds and reports[1].holds
         assert not reports[2].holds
-        assert all(not r.hypothesis_met for r in reports)
+        assert not pair.semicircular_hypothesis
 
     def test_report_json_shape(self):
         r = AdditivityReport(2, Fraction(3), Fraction(1), Fraction(2))
@@ -183,29 +187,22 @@ class TestAdditivityPastTheExpansion:
     """Orders the 3^n expansion cannot reach in a test run."""
 
     @pytest.mark.parametrize("s_var", [1, 2])
-    def test_order_10_over_the_x_suite(self, s_var, monkeypatch):
-        monkeypatch.setenv("FREECOMMUTANT_MAX_ORDER", "10")
+    def test_order_10_over_the_x_suite(self, s_var):
         for dist_x in x_suite(10):
             pair = DistributionPair.standard(dist_x, s_var, 10)
             reports = verify_additivity(pair, 10)
             assert all(r.holds for r in reports), dist_x
             assert any(r.rhs_c for r in reports), dist_x  # the commutator is not 0
 
-    def test_order_12(self, monkeypatch):
-        monkeypatch.setenv("FREECOMMUTANT_MAX_ORDER", "12")
+    def test_order_12(self):
         pair = DistributionPair.standard(atomic_third(12), 2, 12)
         assert all(r.holds for r in verify_additivity(pair, 12))
 
-    def test_order_cap_still_applies(self, monkeypatch):
+    def test_runs_past_the_cli_cap_with_the_variable_unset(self, monkeypatch):
         monkeypatch.delenv("FREECOMMUTANT_MAX_ORDER", raising=False)
         pair = DistributionPair.standard(CumulantSequence.free_poisson(1, 9), 1, 9)
-        with pytest.raises(SizeLimitError) as err:
-            verify_additivity(pair, 9)
-        # the one setting that raises the cap is named; no per-call override exists
-        assert "FREECOMMUTANT_MAX_ORDER" in str(err.value)
-        assert "order_cap" not in str(err.value)
-        monkeypatch.setenv("FREECOMMUTANT_MAX_ORDER", "9")
-        assert len(verify_additivity(pair, 9)) == 9
+        reports = verify_additivity(pair, 9)
+        assert len(reports) == 9 and all(r.holds for r in reports)
 
 
 class TestFreenessWitness:
@@ -291,15 +288,13 @@ class TestCancellation:
         assert all(not coeffs[k] for n, coeffs in enumerate(sums, start=1)
                    for k in range(1, n))
 
-    def test_order_cap_applies_to_n(self, monkeypatch):
+    def test_n_runs_past_the_cli_cap_with_the_variable_unset(self, monkeypatch):
         monkeypatch.delenv("FREECOMMUTANT_MAX_ORDER", raising=False)
         pair = DistributionPair.standard(CumulantSequence.free_poisson(1, 9), 1, 9)
-        assert not cancellation_sum(8, 3, pair)  # the cumulants reach past the cap
-        with pytest.raises(SizeLimitError) as err:
-            cancellation_sum(9, 3, pair)
-        assert "FREECOMMUTANT_MAX_ORDER" in str(err.value)
-        with pytest.raises(SizeLimitError):
-            cancellation_sums(pair, 9)
+        assert not cancellation_sum(9, 3, pair)
+        assert len(cancellation_sums(pair, 9)) == 9
+        with pytest.raises(TruncationError):  # only the inputs bound n
+            cancellation_sums(pair, 10)
 
 
 class TestCoefficientsFromValues:
@@ -355,8 +350,7 @@ class TestCancellationAgainstPerT:
     X = CumulantSequence([Fraction(1, 2), Fraction(1, 4), 0, Fraction(-1, 16), 3, 0,
                           Fraction(-5, 3), 2, 0, Fraction(7, 5)])
 
-    def test_coefficients_equal_per_t_values(self, monkeypatch):
-        monkeypatch.setenv("FREECOMMUTANT_MAX_ORDER", "10")
+    def test_coefficients_equal_per_t_values(self):
         pair = DistributionPair(self.S, self.X)
         nonzero_even = 0
         for n, coeffs in enumerate(cancellation_sums(pair, 10), start=1):
@@ -392,8 +386,7 @@ class TestExpansionAgainstTheWalk:
 class TestPastTheWalkHorizon:
     """Orders the partition walk cannot reach in a test run."""
 
-    def test_cancellation_vanishes_through_order_10(self, monkeypatch):
-        monkeypatch.setenv("FREECOMMUTANT_MAX_ORDER", "10")
+    def test_cancellation_vanishes_through_order_10(self):
         pair = DistributionPair.standard(atomic_third(10), 2, 10)
         sums = cancellation_sums(pair, 10)
         for n in range(2, 11):
@@ -403,8 +396,7 @@ class TestPastTheWalkHorizon:
         # the top coefficient is kappa_10(sx - xs), which does not vanish
         assert sums[9][10]
 
-    def test_cancellation_vanishes_through_order_12(self, monkeypatch):
-        monkeypatch.setenv("FREECOMMUTANT_MAX_ORDER", "12")
+    def test_cancellation_vanishes_through_order_12(self):
         pair = DistributionPair.standard(CumulantSequence.free_poisson(1, 12), Fraction(1, 2), 12)
         sums = cancellation_sums(pair, 12)
         for n in range(2, 13):
@@ -413,8 +405,7 @@ class TestPastTheWalkHorizon:
         # the top coefficient is kappa_12(sx - xs), which does not vanish
         assert sums[11][12]
 
-    def test_closed_form_equals_expansion_nine_to_twelve(self, monkeypatch):
-        monkeypatch.setenv("FREECOMMUTANT_MAX_ORDER", "12")
+    def test_closed_form_equals_expansion_nine_to_twelve(self):
         for dist_x in x_suite(12):
             for n in range(9, 13):
                 assert closed_form_cumulant(n, dist_x) == expansion_cumulant(
@@ -424,11 +415,7 @@ class TestPastTheWalkHorizon:
 class TestReachToForty:
     """The verdicts at orders the canonical Fock model could not reach: the
     B-valued recursion against the closed form, and the additivity and
-    cancellation identities, with the cap raised to 40."""
-
-    @pytest.fixture(autouse=True)
-    def cap_40(self, monkeypatch):
-        monkeypatch.setenv("FREECOMMUTANT_MAX_ORDER", "40")
+    cancellation identities."""
 
     def test_expansion_equals_closed_form_through_40(self):
         for dist_x in (atomic_third(40), CumulantSequence.free_poisson(Fraction(2, 3), 40)):

@@ -27,7 +27,6 @@ from freecommutant.errors import (
     EngineConsistencyError,
     GroundSetError,
     KindError,
-    SizeLimitError,
     TruncationError,
 )
 from freecommutant.partitions import Partition, PartitionKind, iter_partitions
@@ -303,17 +302,19 @@ class TestWordCumulants:
     def test_first_cumulant_of_s(self):
         assert cumulant_of_word_products(("s",), STD_S, FP1) == 0
 
-    def test_letter_cap(self):
-        with pytest.raises(SizeLimitError):
-            cumulant_of_word_products(("sx",) * 9, STD_S, FP1)
+    def test_no_letter_cap(self, monkeypatch):
+        # 18 letters, past twice the CLI's default order cap: kappa_9 of the
+        # one element sx, which its moments also give
+        monkeypatch.delenv("FREECOMMUTANT_MAX_ORDER", raising=False)
+        got = cumulant_of_word_products(("sx",) * 9, GENERIC_S, GENERIC_X)
+        moments = polynomial_moments(Polynomial.from_word("sx"), GENERIC_S, GENERIC_X, 9)
+        assert got == cumulants_from_moments(moments, 9).kappa(9) != 0
 
-    def test_letter_cap_is_never_below_twice_the_default(self, monkeypatch):
-        words = ("s", "sx", "sx", "s")
-        value = cumulant_of_word_products(words, STD_S, FP1)
-        monkeypatch.setenv("FREECOMMUTANT_MAX_ORDER", "1")
-        assert cumulant_of_word_products(words, STD_S, FP1) == value
-        with pytest.raises(SizeLimitError):
-            cumulant_of_word_products(("sx",) * 9, STD_S, FP1)
+    def test_letters_are_bounded_by_the_inputs_alone(self):
+        short_s = CumulantSequence.semicircular(1, 8)
+        assert cumulant_of_word_products(("sx",) * 8, short_s, FP1) != 0
+        with pytest.raises(TruncationError):
+            cumulant_of_word_products(("sx",) * 9, short_s, FP1)
 
     def test_bad_word_rejected(self):
         with pytest.raises(DomainError):

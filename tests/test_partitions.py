@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freecommutant.errors import DomainError, GroundSetError, KindError, SizeLimitError
+from freecommutant.errors import DomainError, GroundSetError, KindError
 from freecommutant.partitions import (
     Partition,
     PartitionKind,
@@ -123,17 +123,15 @@ class TestEnumeration:
         second = enumerate_partitions(6, PartitionKind.NC)
         assert first == second
 
-    def test_caps_enforced_and_named(self):
-        # each kind starts at its bound and refuses one past it, naming the bound
-        for kind, cap in [(PartitionKind.ALL, 10), (PartitionKind.NC, 11),
-                          (PartitionKind.NC_IRREDUCIBLE, 12), (PartitionKind.INTERVAL, 17),
-                          (PartitionKind.INTERVAL_MIN2, 24)]:
-            assert next(iter_partitions(cap, kind)).n == cap
-            with pytest.raises(SizeLimitError) as err:
-                next(iter_partitions(cap + 1, kind))
-            assert f"<= {cap}," in str(err.value)
-        with pytest.raises(SizeLimitError):
-            enumerate_partitions(0, PartitionKind.NC)
+    def test_enumerates_past_the_cli_bounds(self):
+        # the bounds of the ``partitions`` command are its own; lazily, the
+        # library starts any size, and only an empty ground set is refused
+        for kind, bound in [(PartitionKind.ALL, 10), (PartitionKind.NC, 11),
+                            (PartitionKind.NC_IRREDUCIBLE, 12), (PartitionKind.INTERVAL, 17),
+                            (PartitionKind.INTERVAL_MIN2, 24)]:
+            assert next(iter_partitions(bound + 2, kind)).n == bound + 2
+            with pytest.raises(DomainError):
+                next(iter_partitions(0, kind))
 
 
 class TestNoncrossing:
