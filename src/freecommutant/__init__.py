@@ -1,131 +1,7 @@
 """Exact free-cumulant calculus for commutators of a semicircular element
-with a free partner, with the verification commands built on top of it."""
+with a free partner, with the verification commands built on top of it.
 
-from .commutator import (
-    AdditivityReport,
-    DistributionPair,
-    I_S_X,
-    I_X_S,
-    cancellation_sum,
-    cancellation_sums,
-    closed_form_cumulant,
-    closed_form_cumulants,
-    commutator_polynomial,
-    cumulant_sequence_of,
-    expansion_cumulant,
-    freeness_witness,
-    perturbed_partner,
-    sum_with_commutator,
-    verify_additivity,
-)
-from .cumulants import (
-    CumulantSequence,
-    GaussianRational,
-    GR_I,
-    GR_ONE,
-    GR_ZERO,
-    MomentSequence,
-    Polynomial,
-    S,
-    X,
-    cumulant_of_polynomials,
-    cumulant_of_word_products,
-    cumulants_from_moments,
-    moments_from_cumulants,
-)
-from .errors import (
-    DomainError,
-    EngineConsistencyError,
-    FreeCommutantError,
-    GroundSetError,
-    KindError,
-    SizeLimitError,
-    SpecSyntaxError,
-    TruncationError,
-)
-from .fid import FidVerdict, boxplus, compound_poisson_from_rho, hankel_fid_check
-from .fock import (
-    ADJOINT_MOMENT_ORDER,
-    ADJOINT_PAIRS,
-    FockVector,
-    OperatorName,
-    apply,
-    composition_formula_cumulant,
-    composition_formula_cumulants,
-    inner_product,
-    model_cumulant,
-    model_cumulants,
-    verify_adjointness,
-)
-from .partitions import (
-    Partition,
-    PartitionKind,
-    assign_by_blocks,
-    compose_interval,
-    enumerate_partitions,
-    is_noncrossing,
-    iter_partitions,
-)
+The package binds no names of its own: import each from its module, e.g.
+``from freecommutant.commutator import verify_additivity``."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdditivityReport",
-    "ADJOINT_MOMENT_ORDER",
-    "ADJOINT_PAIRS",
-    "CumulantSequence",
-    "DistributionPair",
-    "DomainError",
-    "EngineConsistencyError",
-    "FidVerdict",
-    "FockVector",
-    "FreeCommutantError",
-    "GR_I",
-    "GR_ONE",
-    "GR_ZERO",
-    "GaussianRational",
-    "GroundSetError",
-    "I_S_X",
-    "I_X_S",
-    "KindError",
-    "MomentSequence",
-    "OperatorName",
-    "Partition",
-    "PartitionKind",
-    "Polynomial",
-    "S",
-    "SizeLimitError",
-    "SpecSyntaxError",
-    "TruncationError",
-    "X",
-    "apply",
-    "assign_by_blocks",
-    "boxplus",
-    "cancellation_sum",
-    "cancellation_sums",
-    "closed_form_cumulant",
-    "closed_form_cumulants",
-    "commutator_polynomial",
-    "compose_interval",
-    "composition_formula_cumulant",
-    "composition_formula_cumulants",
-    "compound_poisson_from_rho",
-    "cumulant_of_polynomials",
-    "cumulant_of_word_products",
-    "cumulant_sequence_of",
-    "cumulants_from_moments",
-    "enumerate_partitions",
-    "expansion_cumulant",
-    "freeness_witness",
-    "hankel_fid_check",
-    "inner_product",
-    "is_noncrossing",
-    "iter_partitions",
-    "model_cumulant",
-    "model_cumulants",
-    "moments_from_cumulants",
-    "perturbed_partner",
-    "sum_with_commutator",
-    "verify_additivity",
-    "verify_adjointness",
-]

@@ -273,7 +273,7 @@ def _cmd_verify_additivity(args) -> dict:
     order = _order_or_die(args.max_order)
     pair = _pair_from_args(args, order)
     reports = verify_additivity(pair, order)
-    if reports and _fault_active():
+    if _fault_active():
         reports[0] = replace(reports[0], lhs=reports[0].lhs + 1)
     return {
         "x": args.x,
@@ -377,7 +377,7 @@ def _cmd_fid_check(args) -> dict:
         pair = DistributionPair.standard(dist_x, 1, max_order=order)
         checks.append(("s+i[s,x]",
                        cumulant_sequence_of(sum_with_commutator(), pair, order)))
-    if _fault_active() and checks[0][1].max_order >= 2:
+    if _fault_active():
         name, seq = checks[0]
         values = list(seq.values)
         values[1] = -abs(values[1]) - 1  # force a negative leading pivot

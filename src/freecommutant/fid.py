@@ -1,11 +1,10 @@
-"""Free-convolution and free-infinite-divisibility utilities.
+"""Free-infinite-divisibility utilities.
 
-Free additive convolution adds cumulant sequences entrywise; a compound free
-Poisson law has cumulants equal to the moments of its driving measure; and a
-freely infinitely divisible law has a shifted cumulant sequence that is a
-moment sequence, so its truncated Hankel matrices [kappa_{i+j+2}] must be
-positive semidefinite.  Only that necessary direction is decided here, and
-it is decided exactly.
+A compound free Poisson law has cumulants equal to the moments of its
+driving measure; and a freely infinitely divisible law has a shifted
+cumulant sequence that is a moment sequence, so its truncated Hankel
+matrices [kappa_{i+j+2}] must be positive semidefinite.  Only that necessary
+direction is decided here, and it is decided exactly.
 """
 
 from __future__ import annotations
@@ -42,16 +41,6 @@ class FidVerdict:
             "failure_index": self.failure_index,
             "pivots": [format_rational(p) for p in self.pivots],
         }
-
-
-def boxplus(a: CumulantSequence, b: CumulantSequence, order: int) -> CumulantSequence:
-    """Free additive convolution at the cumulant level: entrywise sum."""
-    if order > a.max_order or order > b.max_order:
-        raise TruncationError(
-            f"boxplus to order {order} needs both sequences that long"
-            f" (have {a.max_order} and {b.max_order})"
-        )
-    return CumulantSequence([a.kappa(n) + b.kappa(n) for n in range(1, order + 1)])
 
 
 def compound_poisson_from_rho(rho: MomentSequence, order: int) -> CumulantSequence:

@@ -1,18 +1,20 @@
-"""Set partitions of {1..n} and the combinatorics built on them.
+"""Set partitions of {1..n}.
 
-Covers the partition families the cumulant machinery sums over (all set
+Enumerates the partition families of the ``partitions`` command (all set
 partitions, non-crossing, interval, interval with blocks of size >= 2,
-non-crossing with first and last element joined), the composition that
-merges interval blocks along a coarser partition, and the cyclic assignment
-of symbols along blocks.  The lattice join and the partition-by-partition
-evaluation of joint cumulants are test oracles (``tests/partition_oracles.py``).
+non-crossing with first and last element joined) and merges the blocks of
+an interval partition along a coarser non-crossing one.  The cumulant
+computations sum over no partition here: they run first-block recursions.
+The enumerating oracles of those recursions, the lattice join and the cyclic
+assignment of symbols along blocks are test code
+(``tests/partition_oracles.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 from .errors import DomainError, GroundSetError, KindError
 
@@ -126,30 +128,6 @@ def compose_interval(pi: Partition, sigma: Partition) -> Partition:
     return rho
 
 
-def assign_by_blocks(block_assignments: Sequence[tuple[Iterable[int], Sequence]]) -> tuple:
-    """Fill an n-tuple by cycling each block's symbols along the block.
-
-    The v-th smallest element of a block receives symbol (v-1) mod m where m
-    is that block's symbol count; the blocks must partition {1..n}.
-    """
-    filled: dict[int, object] = {}
-    for block, symbols in block_assignments:
-        elems = sorted(block)
-        if not symbols:
-            raise DomainError("empty symbol list")
-        if not elems:
-            raise DomainError("empty block")
-        m = len(symbols)
-        for v, e in enumerate(elems):
-            if e in filled:
-                raise DomainError(f"element {e} assigned twice")
-            filled[e] = symbols[v % m]
-    n = len(filled)
-    if sorted(filled) != list(range(1, n + 1)):
-        raise DomainError(f"blocks do not partition {{1..{n}}}")
-    return tuple(filled[j] for j in range(1, n + 1))
-
-
 def _iter_nc_blocklists(lo: int, hi: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     if lo > hi:
         yield ()
@@ -232,7 +210,3 @@ def _interval_blocklists(n: int, min_part: int) -> Iterator[tuple[tuple[int, ...
             start += size
         yield tuple(blocks)
 
-
-def enumerate_partitions(n: int, kind: PartitionKind) -> list[Partition]:
-    """Materialized form of :func:`iter_partitions`."""
-    return list(iter_partitions(n, kind))

@@ -17,6 +17,9 @@ states over the moments themselves, drawn from the same seeded stream as
 ``fock_graded_moments`` is Voiculescu's canonical model of an R-transform on
 the full Fock space over {s, x}: the oracle of ``graded_moments``, which it
 accepts any polynomial for, not only those linear in s.
+``boxplus`` is free additive convolution as the entrywise sum of cumulants,
+and ``assign_by_blocks`` fills a tuple cyclically along the blocks of a
+partition (acceptance criterion 7).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from freecommutant.cumulants import (
     _ALPHABET,
@@ -37,7 +40,7 @@ from freecommutant.cumulants import (
     Polynomial,
     _kappa_table,
 )
-from freecommutant.errors import DomainError, GroundSetError, KindError
+from freecommutant.errors import DomainError, GroundSetError, KindError, TruncationError
 from freecommutant.fock import (
     _SAMPLE_EXPONENT,
     FockVector,
@@ -385,3 +388,37 @@ def fock_graded_moments(parts: Sequence[Polynomial], dist_s: CumulantSequence,
         moments.append([GaussianRational(Fraction(re, scale), Fraction(im, scale))
                         for re, im in (sub.get("", (0, 0)) for sub in state)])
     return moments
+
+
+def boxplus(a: CumulantSequence, b: CumulantSequence, order: int) -> CumulantSequence:
+    """Free additive convolution at the cumulant level: entrywise sum."""
+    if order > a.max_order or order > b.max_order:
+        raise TruncationError(
+            f"boxplus to order {order} needs both sequences that long"
+            f" (have {a.max_order} and {b.max_order})"
+        )
+    return CumulantSequence([a.kappa(n) + b.kappa(n) for n in range(1, order + 1)])
+
+
+def assign_by_blocks(block_assignments: Sequence[tuple[Iterable[int], Sequence]]) -> tuple:
+    """Fill an n-tuple by cycling each block's symbols along the block.
+
+    The v-th smallest element of a block receives symbol (v-1) mod m where m
+    is that block's symbol count; the blocks must partition {1..n}.
+    """
+    filled: dict[int, object] = {}
+    for block, symbols in block_assignments:
+        elems = sorted(block)
+        if not symbols:
+            raise DomainError("empty symbol list")
+        if not elems:
+            raise DomainError("empty block")
+        m = len(symbols)
+        for v, e in enumerate(elems):
+            if e in filled:
+                raise DomainError(f"element {e} assigned twice")
+            filled[e] = symbols[v % m]
+    n = len(filled)
+    if sorted(filled) != list(range(1, n + 1)):
+        raise DomainError(f"blocks do not partition {{1..{n}}}")
+    return tuple(filled[j] for j in range(1, n + 1))

@@ -1,51 +1,111 @@
-"""The exported surface of the package, pinned: a name added to or dropped
-from ``freecommutant.__all__`` shows up as a diff of this list."""
+"""The public names of the package, pinned per module: a top-level name
+without a leading underscore added to or dropped from any module shows up
+as a diff of ``PUBLIC``.  The package binds nothing but its submodules, so
+every name is imported from the module that defines it."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
 import freecommutant
 
 SRC = Path(freecommutant.__file__).resolve().parent
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
-EXPORTED = [
-    "ADJOINT_MOMENT_ORDER", "ADJOINT_PAIRS", "AdditivityReport", "CumulantSequence",
-    "DistributionPair", "DomainError", "EngineConsistencyError", "FidVerdict", "FockVector",
-    "FreeCommutantError", "GR_I", "GR_ONE", "GR_ZERO", "GaussianRational", "GroundSetError",
-    "I_S_X", "I_X_S", "KindError", "MomentSequence", "OperatorName", "Partition",
-    "PartitionKind", "Polynomial", "S", "SizeLimitError", "SpecSyntaxError",
-    "TruncationError", "X", "apply", "assign_by_blocks", "boxplus", "cancellation_sum",
-    "cancellation_sums", "closed_form_cumulant", "closed_form_cumulants",
-    "commutator_polynomial", "compose_interval", "composition_formula_cumulant",
-    "composition_formula_cumulants", "compound_poisson_from_rho", "cumulant_of_polynomials",
-    "cumulant_of_word_products", "cumulant_sequence_of", "cumulants_from_moments",
-    "enumerate_partitions", "expansion_cumulant", "freeness_witness", "hankel_fid_check",
-    "inner_product", "is_noncrossing", "iter_partitions", "model_cumulant", "model_cumulants",
-    "moments_from_cumulants", "perturbed_partner", "sum_with_commutator", "verify_additivity",
-    "verify_adjointness",
-]
+PUBLIC = {
+    "cli": ["DEFAULT_ORDER_CAP", "DistributionSpec", "ENUMERATION_CAPS", "FAULT_ENV",
+            "ORDER_CAP_ENV", "main", "parse_spec"],
+    "commutator": [
+        "AdditivityReport", "DistributionPair", "I_S_X", "I_X_S", "cancellation_sum",
+        "cancellation_sums", "closed_form_cumulant", "closed_form_cumulants",
+        "commutator_polynomial", "cumulant_sequence_of", "expansion_cumulant",
+        "freeness_witness", "letter_polynomial", "perturbed_partner", "sum_with_commutator",
+        "verify_additivity",
+    ],
+    "cumulants": [
+        "CumulantSequence", "GR_I", "GR_ONE", "GR_ZERO", "GaussianRational", "MomentSequence",
+        "Polynomial", "S", "X", "as_fraction", "composition_series", "cumulant_of_polynomials",
+        "cumulant_of_word_products", "cumulants_from_moments", "dilate", "dilation",
+        "first_block_sum", "format_rational", "graded_moments", "moments_from_cumulants",
+        "polynomial_moments", "real_cumulant",
+    ],
+    "errors": ["DomainError", "EngineConsistencyError", "FreeCommutantError", "GroundSetError",
+               "KindError", "SizeLimitError", "SpecSyntaxError", "TruncationError"],
+    "fid": ["FidVerdict", "compound_poisson_from_rho", "hankel_fid_check"],
+    "fock": [
+        "ADJOINT_MOMENT_ORDER", "ADJOINT_PAIRS", "FockVector", "HAT_SUM", "OperatorName",
+        "TILDE_SUM", "apply", "composition_formula_cumulant", "composition_formula_cumulants",
+        "inner_product", "model_cumulant", "model_cumulants", "verify_adjointness",
+    ],
+    "partitions": ["Partition", "PartitionKind", "compose_interval", "is_interval",
+                   "is_noncrossing", "iter_partitions"],
+}
 
 
-def test_exported_names_are_pinned():
-    assert sorted(freecommutant.__all__) == EXPORTED
+def _top_level_names(path: Path) -> list[str]:
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return names
 
 
-def test_every_exported_name_resolves():
-    for name in freecommutant.__all__:
-        assert getattr(freecommutant, name) is not None, name
+def _public_objects():
+    for module_name, names in PUBLIC.items():
+        module = importlib.import_module(f"freecommutant.{module_name}")
+        for name in names:
+            yield module_name, name, getattr(module, name)
+
+
+def test_public_names_are_pinned():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        names = _top_level_names(path)
+        assert "__all__" not in names, path.name
+        if path.stem != "__init__":
+            found[path.stem] = sorted(n for n in names if not n.startswith("_"))
+    assert found == PUBLIC
+
+
+def test_the_package_binds_only_its_submodules():
+    # import every module first, so each binds itself on the package
+    list(_public_objects())
+    assert sorted(n for n in vars(freecommutant) if not n.startswith("_")) == sorted(PUBLIC)
+
+
+def test_every_public_name_resolves():
+    for module_name, name, obj in _public_objects():
+        assert obj is not None, (module_name, name)
 
 
 def test_no_call_site_knobs():
     # no function takes an order cap, a cache or a choice of walk; the
     # CLI alone caps orders
-    for name in freecommutant.__all__:
-        obj = getattr(freecommutant, name)
+    for module_name, name, obj in _public_objects():
         if inspect.isfunction(obj):
             params = set(inspect.signature(obj).parameters)
-            assert not params & {"order_cap", "cache", "pruned"}, name
-    assert [f.name for f in freecommutant.DistributionPair.__dataclass_fields__.values()] == [
+            assert not params & {"order_cap", "cache", "pruned"}, (module_name, name)
+    from freecommutant.commutator import DistributionPair
+    assert [f.name for f in DistributionPair.__dataclass_fields__.values()] == [
         "dist_s", "dist_x"]
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # perfbench/tracer.py wraps these functions by name; its tables are read
+    # without importing it, so a renamed or deleted name fails here first
+    tables = {}
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and target.id in {"TARGETS", "GENERATORS"}:
+                tables[target.id] = ast.literal_eval(node.value)
+    assert sorted(tables) == ["GENERATORS", "TARGETS"]
+    for module_name, name, *_ in (row for rows in tables.values() for row in rows):
+        assert name in PUBLIC.get(module_name, ()), (module_name, name)
 
 
 def test_cumulants_does_not_import_partitions():

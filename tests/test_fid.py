@@ -12,12 +12,8 @@ from freecommutant.commutator import (
 )
 from freecommutant.cumulants import CumulantSequence, MomentSequence, moments_from_cumulants
 from freecommutant.errors import TruncationError
-from freecommutant.fid import (
-    FidVerdict,
-    boxplus,
-    compound_poisson_from_rho,
-    hankel_fid_check,
-)
+from freecommutant.fid import FidVerdict, compound_poisson_from_rho, hankel_fid_check
+from partition_oracles import boxplus
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 

@@ -5,13 +5,11 @@ from freecommutant.errors import DomainError, GroundSetError, KindError
 from freecommutant.partitions import (
     Partition,
     PartitionKind,
-    assign_by_blocks,
     compose_interval,
-    enumerate_partitions,
     is_noncrossing,
     iter_partitions,
 )
-from partition_oracles import join, joins_to_full
+from partition_oracles import assign_by_blocks, join, joins_to_full
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
@@ -68,59 +66,59 @@ class TestCanonicalForm:
 class TestEnumeration:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_nc_counts_are_catalan(self, n):
-        assert len(enumerate_partitions(n, PartitionKind.NC)) == CATALAN[n]
+        assert len(list(iter_partitions(n, PartitionKind.NC))) == CATALAN[n]
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_interval_counts(self, n):
-        assert len(enumerate_partitions(n, PartitionKind.INTERVAL)) == 2 ** (n - 1)
+        assert len(list(iter_partitions(n, PartitionKind.INTERVAL))) == 2 ** (n - 1)
 
     def test_interval_min2_fibonacci_recurrence(self):
-        a = {n: len(enumerate_partitions(n, PartitionKind.INTERVAL_MIN2)) for n in range(1, 11)}
+        a = {n: len(list(iter_partitions(n, PartitionKind.INTERVAL_MIN2))) for n in range(1, 11)}
         assert a[2] == a[3] == 1
         for n in range(4, 11):
             assert a[n] == a[n - 1] + a[n - 2]
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_irreducible_counts_are_shifted_catalan(self, k):
-        assert len(enumerate_partitions(k, PartitionKind.NC_IRREDUCIBLE)) == CATALAN[k - 1]
+        assert len(list(iter_partitions(k, PartitionKind.NC_IRREDUCIBLE))) == CATALAN[k - 1]
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_all_counts_are_bell(self, n):
-        assert len(enumerate_partitions(n, PartitionKind.ALL)) == BELL[n]
+        assert len(list(iter_partitions(n, PartitionKind.ALL))) == BELL[n]
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_direct_nc_equals_filter_oracle(self, n):
-        direct = set(enumerate_partitions(n, PartitionKind.NC))
+        direct = set(iter_partitions(n, PartitionKind.NC))
         assert len(direct) == CATALAN[n]
         assert direct == crossing_filter_oracle(n)
 
     def test_nc3_by_oracle(self):
-        got = set(enumerate_partitions(3, PartitionKind.NC))
+        got = set(iter_partitions(3, PartitionKind.NC))
         assert got == crossing_filter_oracle(3)
         assert len(got) == 5
 
     def test_interval_min2_of_4(self):
-        got = set(enumerate_partitions(4, PartitionKind.INTERVAL_MIN2))
+        got = set(iter_partitions(4, PartitionKind.INTERVAL_MIN2))
         assert got == {Partition(4, [[1, 2, 3, 4]]), Partition(4, [[1, 2], [3, 4]])}
 
     def test_singleton_ground_set(self):
-        assert enumerate_partitions(1, PartitionKind.ALL) == [Partition(1, [[1]])]
+        assert list(iter_partitions(1, PartitionKind.ALL)) == [Partition(1, [[1]])]
 
     def test_irreducible_of_3(self):
-        got = set(enumerate_partitions(3, PartitionKind.NC_IRREDUCIBLE))
+        got = set(iter_partitions(3, PartitionKind.NC_IRREDUCIBLE))
         assert got == {Partition(3, [[1, 2, 3]]), Partition(3, [[1, 3], [2]])}
 
     def test_irreducible_means_first_and_last_joined(self):
         for n in range(2, 8):
-            owner_sets = enumerate_partitions(n, PartitionKind.NC_IRREDUCIBLE)
-            nc = set(enumerate_partitions(n, PartitionKind.NC))
+            owner_sets = list(iter_partitions(n, PartitionKind.NC_IRREDUCIBLE))
+            nc = set(iter_partitions(n, PartitionKind.NC))
             expected = {p for p in nc
                         if any(1 in b and n in b for b in p.blocks)}
             assert set(owner_sets) == expected
 
     def test_enumeration_deterministic(self):
-        first = enumerate_partitions(6, PartitionKind.NC)
-        second = enumerate_partitions(6, PartitionKind.NC)
+        first = list(iter_partitions(6, PartitionKind.NC))
+        second = list(iter_partitions(6, PartitionKind.NC))
         assert first == second
 
     def test_enumerates_past_the_cli_bounds(self):
