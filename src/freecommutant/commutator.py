@@ -3,14 +3,14 @@ free partner.
 
 Provides the cumulant sequence of any polynomial linear in s, inverted
 from its moments by the B-valued first-block recursion over B = C[x]
-(:func:`.cumulants.graded_moments`); on that route, the additivity verdicts
-comparing kappa_n(s + i[s,x]) against kappa_n(s) + kappa_n(i[s,x]) and
-kappa_n(x + i[x,s]) as the independent oracle for its closed form, which is
-also here, as a first-block recursion over the x cumulants alone.  The
-signed double sums whose vanishing is equivalent to the additivity are the
-coefficients of kappa_n(s + t(sx - xs)) in t, every order from one t-graded
-pass of the same recursion and the moment-cumulant recursion over
-polynomials in t.  On the joint cumulants of word products of
+(:func:`.cumulants.polynomial_moments`); on that route, the additivity
+verdicts comparing kappa_n(s + i[s,x]) against kappa_n(s) + kappa_n(i[s,x])
+and kappa_n(x + i[x,s]) as the independent oracle for its closed form,
+which is also here, as a first-block recursion over the x cumulants alone.
+The signed double sums whose vanishing is equivalent to the additivity are
+the coefficients of kappa_n(s + t(sx - xs)) in t, every order read as the
+base-2^K digits of one cumulant sequence of the same route at t = 2^K
+(Kronecker substitution).  On the joint cumulants of word products of
 :mod:`.cumulants`: the fourth-order witness showing s and i[s,x] are
 nevertheless not free.
 """
@@ -36,11 +36,10 @@ from .cumulants import (
     dilation,
     first_block_sum,
     format_rational,
-    graded_moments,
     polynomial_moments,
     real_cumulant,
 )
-from .errors import DomainError, EngineConsistencyError, TruncationError
+from .errors import DomainError, EngineConsistencyError
 
 I_S_X = "i[s,x]"
 I_X_S = "i[x,s]"
@@ -131,9 +130,6 @@ def verify_additivity(pair: DistributionPair, order: int) -> list[AdditivityRepo
     With a non-semicircular s the comparison still runs (exploratory mode);
     ``pair.semicircular_hypothesis`` says which mode ran.
     """
-    if order > pair.dist_s.max_order:
-        raise TruncationError(
-            f"s cumulants available to order {pair.dist_s.max_order}, need {order}")
     lhs = cumulant_sequence_of(sum_with_commutator(), pair, order)
     rhs_c = cumulant_sequence_of(commutator_polynomial(I_S_X), pair, order)
     return [
@@ -157,54 +153,47 @@ def freeness_witness(pair: DistributionPair) -> Fraction:
     return real_cumulant(value, self_adjoint=True)
 
 
-def _add_product(acc: list[int], a: list[int], b: list[int]) -> None:
-    """acc += a * b for polynomials in t given by their coefficient lists."""
-    for i, u in enumerate(a):
-        if u:
-            for j, v in enumerate(b):
-                if v:
-                    acc[i + j] += u * v
-
-
-def _cumulants_in_t(moments: list[list[Fraction]], order: int) -> list[list[Fraction]]:
-    """kappa_1(t)..kappa_order(t) as coefficient lists, from moments m_j(t)
-    of degree <= j in t: the recursion of :func:`cumulants_from_moments`,
-    kappa_n = m_n - sum_(k<n) kappa_k [z^(n-k)] M(z)^k, over polynomials in
-    t with every coefficient of m_j dilated as a value of index j
-    (:func:`dilation`).  The table entry [z^j] M(z)^k has degree <= j, so
-    kappa_n has degree <= n."""
-    d = dilation([math.lcm(*(c.denominator for c in mj)) for mj in moments])
-    m = [[c.numerator * (d ** j // c.denominator) for c in mj] for j, mj in enumerate(moments)]
-    powers: list[list[list[int]]] = [[[1]]]
-    for n in range(1, order + 1):
-        powers[0].append([])
-        for k in range(1, n):
-            j = n - k
-            entry = [0] * (j + 1)
-            for t in range(j + 1):
-                _add_product(entry, m[t], powers[k - 1][j - t])
-            powers[k].append(entry)
-        powers.append([[1]])
-    kappas: list[list[int]] = []
-    for n in range(1, order + 1):
-        value = list(m[n])
-        for k in range(1, n):
-            _add_product(value, [-c for c in kappas[k - 1]], powers[k][n - k])
-        kappas.append(value)
-    return [[Fraction(c, d ** n) for c in value] for n, value in enumerate(kappas, start=1)]
-
-
 def cancellation_sums(pair: DistributionPair, order: int) -> list[list[Fraction]]:
-    """For n = 1..order, the coefficients of t^0..t^n in
+    """For n = 1..order, the coefficients c_(n,0)..c_(n,n) of t^0..t^n in
     kappa_n(s + t(sx - xs)), whose t^k coefficient is the double sum of
-    :func:`cancellation_sum`; all from one t-graded pass of the B-valued
-    first-block recursion (:func:`graded_moments`).  Any s is accepted."""
-    moments = graded_moments(
-        [letter_polynomial(S), Polynomial([(_SX, GR_ONE), (_XS, -GR_ONE)])],
-        pair.dist_s, pair.dist_x, order)
-    if any(c.im for m in moments for c in m):
-        raise EngineConsistencyError("real input produced an imaginary moment part")
-    return _cumulants_in_t([[c.re for c in m] for m in moments], order)
+    :func:`cancellation_sum`.  Any s is accepted.
+
+    A t^k term has n letters s and k letters x, so with x' = T x the
+    cumulant kappa_n(s + sx' - x's) is sum_k c_(n,k) T^k, and D_n =
+    (d_s d_x)^n, with the :func:`dilation` of each cumulant list, makes
+    every D_n c_(n,k) an integer.  Each c_(n,k) sums block products of
+    cumulants over the partitions that join its words, so |c_(n,k)| is at
+    most kappa_n(s + sx + xs) over the absolute values of the cumulants: the
+    same products over the same partitions, none of them signed.  With T =
+    2^K above twice every D_n times that bound, the D_n c_(n,k) are the
+    balanced base-T digits of D_n kappa_n(s + sx' - x's).  One pass of
+    :func:`polynomial_moments` gives the bound and one the value."""
+    s, x = pair.dist_s, pair.dist_x
+    unsigned = [CumulantSequence([abs(v) for v in dist.values]) for dist in (s, x)]
+    bound = cumulants_from_moments(polynomial_moments(
+        Polynomial([(S, GR_ONE), (_SX, GR_ONE), (_XS, GR_ONE)]), *unsigned, order), order)
+    d = math.prod(dilation([1, *(v.denominator for v in dist.values[:order])])
+                  for dist in (s, x))
+    shift = max(d ** n * b.numerator // b.denominator
+                for n, b in enumerate(bound.values, start=1)).bit_length() + 1
+    big_t, half = 1 << shift, 1 << shift - 1
+    values = cumulants_from_moments(polynomial_moments(
+        Polynomial([(S, GR_ONE), (_SX, GR_ONE), (_XS, -GR_ONE)]), s, x.dilated(big_t), order),
+        order).values
+    sums = []
+    for n, value in enumerate(values, start=1):
+        rest = value * d ** n
+        if rest.denominator != 1:
+            raise EngineConsistencyError(f"D_{n} kappa_{n} is not an integer: {rest}")
+        rest, digits = rest.numerator, []
+        for _ in range(n + 1):
+            digit = (rest + half) % big_t - half
+            digits.append(Fraction(digit, d ** n))
+            rest = (rest - digit) >> shift
+        if rest:
+            raise EngineConsistencyError(f"kappa_{n} has digits past t^{n}")
+        sums.append(digits)
+    return sums
 
 
 def cancellation_sum(n: int, k: int, pair: DistributionPair) -> GaussianRational:

@@ -17,8 +17,7 @@ block, each gap again a joint cumulant of word products.  Moments of a
 whole polynomial linear in s come instead from a first-block recursion
 with values in B = C[x]: s is free from B, so its B-valued cumulants are
 its scalar ones, and the recursion needs neither the multilinear expansion
-nor any partition enumeration; one pass of it also gives the moments of
-p_0 + t p_1 + ... exactly as polynomials in t.
+nor any partition enumeration.  It is the package's one moment engine.
 """
 
 from __future__ import annotations
@@ -526,64 +525,59 @@ def cumulant_of_polynomials(args: Sequence[Polynomial],
     return total
 
 
-def _mul_into(acc: dict, a: dict, b: dict, scale: int = 1,
-              phi: Sequence[int] = (), width: int = 1) -> dict:
-    """acc += scale * a * b for polynomials in x and t over the Gaussian
-    integers, held as dicts from the key of x^d t^e, d + width * e, to
-    (re, im); width exceeds every x degree, so keys add as monomials
-    multiply.  With ``phi``, x^d t^e of the product pairs to phi[d] t^e."""
+def _mul_into(acc: dict, a: dict, b: dict, scale: int = 1, phi: Sequence[int] = ()) -> dict:
+    """acc += scale * a * b for polynomials in x over the Gaussian integers,
+    held as dicts from the degree of x to (re, im).  With ``phi``, x^d of
+    the product pairs to the scalar phi[d], kept at degree 0."""
     for ka, (ar, ai) in a.items():
         ar, ai = ar * scale, ai * scale
         for kb, (br, bi) in b.items():
             key, f = ka + kb, 1
             if phi:
-                d = key % width
-                key, f = key - d, phi[d]
+                key, f = 0, phi[key]
             re, im = (ar * br - ai * bi) * f, (ar * bi + ai * br) * f
             o = acc.get(key)
             acc[key] = (re, im) if o is None else (o[0] + re, o[1] + im)
     return acc
 
 
-def graded_moments(parts: Sequence[Polynomial], dist_s: CumulantSequence,
-                   dist_x: CumulantSequence, order: int) -> list[list[GaussianRational]]:
-    """Moments m_0(t)..m_order(t) of p(t) = sum_g t^g parts[g] with s and x
-    free, each as its exact coefficients of t^0..t^(j * (len(parts) - 1)).
-    A word with two or more s is refused; :func:`cumulant_of_polynomials`
-    takes any polynomial.
+def polynomial_moments(p: Polynomial, dist_s: CumulantSequence, dist_x: CumulantSequence,
+                       order: int) -> MomentSequence:
+    """Moments m_0..m_order of ``p`` with s and x free.  A word with two or
+    more s is refused; :func:`cumulant_of_polynomials` takes any polynomial.
+    A non-real moment is an engine bug for self-adjoint ``p`` and a domain
+    error otherwise.
 
-    Over B = C[x, t], p = b_0 + sum_j u_j s v_j with u_j = x^(a_j) for the
+    Over B = C[x], p = b_0 + sum_j u_j s v_j with u_j = x^(a_j) for the
     distinct a of the words x^a s x^b.  s is free from B, so its B-valued
     cumulants are kappa_k(s) phi(b_1)...phi(b_(k-1)), and the first-block
     recursion reads M_0 = 1, M_n = b_0 M_(n-1) + sum_(a<=n) sum_(j,l)
     (R_a)_jl u_j v_l M_(n-a), R_a = sum_k kappa_k(s) [z^(a-k)] c(z)^(k-1),
-    (c_g)_jl = phi(v_j M_g u_l) and m_n = phi(M_n), where phi(x^d t^e) =
-    m_d(x) t^e.  Powers of c(z) are kept below the last nonzero kappa_k(s).
+    (c_g)_jl = phi(v_j M_g u_l) and m_n = phi(M_n), where phi(x^d) =
+    m_d(x).  Powers of c(z) are kept below the last nonzero kappa_k(s).
     x and s are dilated by the d of their cumulants (:func:`dilate`) and p
     scaled by a common denominator L, so the recursion runs on Gaussian
     integers and m_n is divided by L^n once.  Cumulants of x are read to
     (most x in one term) * order, of s to order.
     """
-    terms = [(g, w, c) for g, part in enumerate(parts)
-             for w, c in part.terms + (("", part.constant),) if c]
-    most_s = max((w.count(S) for _g, w, _c in terms), default=0)
+    terms = [(w, c) for w, c in p.terms + (("", p.constant),) if c]
+    most_s = max((w.count(S) for w, _c in terms), default=0)
     if most_s > 1:
         raise DomainError(f"the moment engine takes polynomials linear in s, not {most_s}"
                           " copies in one word; cumulant_of_polynomials takes any polynomial")
-    most_x = max((w.count(X) for _g, w, _c in terms), default=0)
+    most_x = max((w.count(X) for w, _c in terms), default=0)
     ks, d_s = dilate(_kappa_table(dist_s, most_s * order, S))
     kx, d_x = dilate(_kappa_table(dist_x, most_x * order, X))
     phi = _moments_of(kx, most_x * order)
     # p in x' = d_x x and s' = d_s s, times lcd, has Gaussian integer coefficients
-    lcd = math.lcm(*(f.denominator for _g, _w, c in terms for f in (c.re, c.im)))
+    lcd = math.lcm(*(f.denominator for _w, c in terms for f in (c.re, c.im)))
     lcd *= d_x ** most_x * d_s ** most_s
-    width = max(order, 2) * most_x + 1
     b_0: dict = {}
     v: dict[int, dict] = {}
-    for g, w, c in terms:
+    for w, c in terms:
         lift = lcd // (d_x ** w.count(X) * d_s ** w.count(S))
         a = w.find(S)  # w = x^a s x^b, or x^b with a = -1
-        (b_0 if a < 0 else v.setdefault(a, {}))[len(w) - a - 1 + width * g] = (
+        (b_0 if a < 0 else v.setdefault(a, {}))[len(w) - a - 1] = (
             c.re.numerator * lift // c.re.denominator, c.im.numerator * lift // c.im.denominator)
     r = len(v)
     uv = [[{a + key: c for key, c in v_l.items()} for v_l in v.values()] for a in v]
@@ -592,10 +586,10 @@ def graded_moments(parts: Sequence[Polynomial], dist_s: CumulantSequence,
     one = {0: (1, 0)}
     gaps: list[list[list[dict]]] = []  # c_0, c_1, ...
     powers = [gaps, *([] for _ in range(kmax - 2))]  # [z^j] c(z)^k at [k - 1][j]
-    big_m, q, moments = [one], [{}], [[GR_ONE]]
+    big_m, q, moments = [one], [{}], [_ONE]
     for n in range(1, order + 1):
         if n >= 2:
-            gaps.append([[_mul_into({}, uv[l][j], big_m[n - 2], 1, phi, width)
+            gaps.append([[_mul_into({}, uv[l][j], big_m[n - 2], 1, phi)
                           for l in range(r)] for j in range(r)])
             for k in range(2, min(kmax, n)):
                 entry = [[{} for _ in range(r)] for _ in range(r)]
@@ -612,28 +606,14 @@ def graded_moments(parts: Sequence[Polynomial], dist_s: CumulantSequence,
         for a in range(1, n + 1):
             _mul_into(m_n, q[a], big_m[n - a])
         big_m.append({key: c for key, c in m_n.items() if c[0] or c[1]})
-        value, scale = _mul_into({}, one, m_n, 1, phi, width), lcd ** n
-        moments.append([GaussianRational(Fraction(re, scale) if re else _ZERO,
-                                         Fraction(im, scale) if im else _ZERO)
-                        for re, im in (value.get(width * e, (0, 0))
-                                       for e in range(n * len(parts) - n + 1))])
-    return moments
-
-
-def polynomial_moments(p: Polynomial, dist_s: CumulantSequence, dist_x: CumulantSequence,
-                       order: int) -> MomentSequence:
-    """Moments m_0..m_order of ``p`` with s and x free: the grade-0 case of
-    :func:`graded_moments`.  A non-real moment is an engine bug for
-    self-adjoint ``p`` and a domain error otherwise.
-    """
-    moments = []
-    for j, (m,) in enumerate(graded_moments([p], dist_s, dist_x, order)):
-        if m.im:
+        re, im = _mul_into({}, one, m_n, 1, phi).get(0, (0, 0))
+        if im:
+            im = Fraction(im, lcd ** n)
             if p.is_self_adjoint:
                 raise EngineConsistencyError(
-                    f"self-adjoint input produced imaginary moment part {m.im} at m_{j}")
-            raise DomainError(f"moment m_{j} is not real: imaginary part {m.im}")
-        moments.append(m.re)
+                    f"self-adjoint input produced imaginary moment part {im} at m_{n}")
+            raise DomainError(f"moment m_{n} is not real: imaginary part {im}")
+        moments.append(Fraction(re, lcd ** n))
     return MomentSequence(moments)
 
 

@@ -15,8 +15,11 @@ states of ``Fraction`` coefficients, through ``apply`` and
 states over the moments themselves, drawn from the same seeded stream as
 ``verify_adjointness`` draws its integer states from.
 ``fock_graded_moments`` is Voiculescu's canonical model of an R-transform on
-the full Fock space over {s, x}: the oracle of ``graded_moments``, which it
-accepts any polynomial for, not only those linear in s.
+the full Fock space over {s, x}, graded by the powers of a parameter t: the
+oracle of ``polynomial_moments``, which it accepts any polynomial for, not
+only those linear in s.  With ``cumulants_in_t``, the moment-cumulant
+recursion over polynomials in t, it gives ``fock_cancellation_sums``, the
+oracle of ``cancellation_sums``.
 ``boxplus`` is free additive convolution as the entrywise sum of cumulants,
 and ``assign_by_blocks`` fills a tuple cyclically along the blocks of a
 partition (acceptance criterion 7).
@@ -39,6 +42,7 @@ from freecommutant.cumulants import (
     MomentSequence,
     Polynomial,
     _kappa_table,
+    dilation,
 )
 from freecommutant.errors import DomainError, GroundSetError, KindError, TruncationError
 from freecommutant.fock import (
@@ -388,6 +392,56 @@ def fock_graded_moments(parts: Sequence[Polynomial], dist_s: CumulantSequence,
         moments.append([GaussianRational(Fraction(re, scale), Fraction(im, scale))
                         for re, im in (sub.get("", (0, 0)) for sub in state)])
     return moments
+
+
+def _add_product(acc: list[int], a: list[int], b: list[int]) -> None:
+    """acc += a * b for polynomials in t given by their coefficient lists."""
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                if v:
+                    acc[i + j] += u * v
+
+
+def cumulants_in_t(moments: list[list[Fraction]], order: int) -> list[list[Fraction]]:
+    """kappa_1(t)..kappa_order(t) as coefficient lists, from moments m_j(t)
+    of degree <= j in t: the recursion of ``cumulants_from_moments``,
+    kappa_n = m_n - sum_(k<n) kappa_k [z^(n-k)] M(z)^k, over polynomials in
+    t with every coefficient of m_j dilated as a value of index j
+    (``dilation``).  The table entry [z^j] M(z)^k has degree <= j, so
+    kappa_n has degree <= n."""
+    d = dilation([math.lcm(*(c.denominator for c in mj)) for mj in moments])
+    m = [[c.numerator * (d ** j // c.denominator) for c in mj] for j, mj in enumerate(moments)]
+    powers: list[list[list[int]]] = [[[1]]]
+    for n in range(1, order + 1):
+        powers[0].append([])
+        for k in range(1, n):
+            j = n - k
+            entry = [0] * (j + 1)
+            for t in range(j + 1):
+                _add_product(entry, m[t], powers[k - 1][j - t])
+            powers[k].append(entry)
+        powers.append([[1]])
+    kappas: list[list[int]] = []
+    for n in range(1, order + 1):
+        value = list(m[n])
+        for k in range(1, n):
+            _add_product(value, [-c for c in kappas[k - 1]], powers[k][n - k])
+        kappas.append(value)
+    return [[Fraction(c, d ** n) for c in value] for n, value in enumerate(kappas, start=1)]
+
+
+def fock_cancellation_sums(dist_s: CumulantSequence, dist_x: CumulantSequence,
+                           order: int) -> list[list[Fraction]]:
+    """For n = 1..order, the coefficients of t^0..t^n in
+    kappa_n(s + t(sx - xs)): the t-graded moments of the Fock model, real
+    for this real polynomial, through :func:`cumulants_in_t`."""
+    moments = fock_graded_moments(
+        [Polynomial.from_word(S), Polynomial([("sx", GR_ONE), ("xs", -GR_ONE)])],
+        dist_s, dist_x, order)
+    if any(c.im for m in moments for c in m):
+        raise AssertionError("real input produced an imaginary moment part")
+    return cumulants_in_t([[c.re for c in m] for m in moments], order)
 
 
 def boxplus(a: CumulantSequence, b: CumulantSequence, order: int) -> CumulantSequence:

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -34,10 +36,11 @@ from freecommutant.cumulants import (
     cumulant_of_polynomials,
     cumulant_of_word_products,
     cumulants_from_moments,
-    graded_moments,
+    polynomial_moments,
     real_cumulant,
 )
 from freecommutant.errors import DomainError, TruncationError
+from partition_oracles import fock_cancellation_sums
 
 STD_S = CumulantSequence.semicircular(1, 8)
 FP1 = CumulantSequence.free_poisson(1, 8)
@@ -266,19 +269,20 @@ class TestCancellation:
         assert isinstance(value, GaussianRational)
         assert value.is_real
 
-    def test_command_makes_one_graded_pass(self, capsys, monkeypatch):
+    def test_command_makes_two_engine_passes(self, capsys, monkeypatch):
         passes = []
 
         def counted(*args, **kwargs):
             passes.append(args[-1])
-            return graded_moments(*args, **kwargs)
+            return polynomial_moments(*args, **kwargs)
 
-        monkeypatch.setattr(commutator, "graded_moments", counted)
+        monkeypatch.setattr(commutator, "polynomial_moments", counted)
         monkeypatch.delenv("FREECOMMUTANT_MAX_ORDER", raising=False)
         assert cli.main(["cancellation", "--x", "atomic(1/3:-1,2/3:2)",
                          "--max-order", "8"]) == 0
         capsys.readouterr()
-        assert passes == [8]  # every cell of orders 2..8 from one pass
+        # every cell of orders 2..8 from one bound and one evaluation
+        assert passes == [8, 8]
 
     def test_sums_hold_every_order_up_to_the_one_asked(self):
         pair = DistributionPair(CumulantSequence.semicircular(1, 6), FP1)
@@ -357,6 +361,51 @@ class TestCancellationAgainstPerT:
             assert coeffs == per_t_coefficients(n, pair), n
             nonzero_even += sum(1 for k in range(2, n, 2) if coeffs[k])
         assert nonzero_even >= 2
+
+
+# zeros, negative values and denominators from 1 to about 10^20
+rationals = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                      st.sampled_from((1, 2, 3, 7, 10 ** 20 + 1, 10 ** 20 + 39, 2 ** 67)))
+
+
+class TestCancellationAgainstFockModel:
+    """The Kronecker evaluation against the t-graded moments of the Fock
+    model (:func:`fock_cancellation_sums`), which share no code with it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(6, 10), st.lists(rationals, min_size=10, max_size=10),
+           st.lists(rationals, min_size=10, max_size=10), st.booleans())
+    def test_equals_fock_model(self, order, kx, ks, semicircular):
+        # every order up to the one drawn is compared
+        dist_x = CumulantSequence(kx)
+        if semicircular:
+            dist_s = CumulantSequence.semicircular(ks[1], 10)
+        else:  # with kappa_1(s) != 0
+            dist_s = CumulantSequence([ks[0] or 1] + ks[1:])
+        sums = cancellation_sums(DistributionPair(dist_s, dist_x), order)
+        assert sums == fock_cancellation_sums(dist_s, dist_x, order)
+
+    @pytest.mark.parametrize("ks, kx", [
+        ([0, 3, 0, 0], [-1, -1, 0, -1]),
+        ([-1, -1, Fraction(1, 2), 3], [-2, 0, -3, 0]),
+    ], ids=["semicircular-s", "generic-s"])
+    def test_negative_cumulants_take_the_unsigned_bound(self, ks, kx):
+        # a bound taken from the signed cumulants is too small for these
+        dist_s, dist_x = CumulantSequence(ks), CumulantSequence(kx)
+        sums = cancellation_sums(DistributionPair(dist_s, dist_x), 4)
+        assert sums == fock_cancellation_sums(dist_s, dist_x, 4)
+
+    def test_order_24_is_pinned(self):
+        # recorded from the t-graded pass this evaluation replaced; the odd
+        # middle coefficients of order 24 vanish and the even ones do not
+        dist_s = CumulantSequence([Fraction((-1) ** k * (k % 5 + 1), k + 2)
+                                   for k in range(1, 25)])
+        sums = cancellation_sums(DistributionPair(dist_s, atomic_third(24)), 24)
+        assert sum(1 for k in range(1, 24) if sums[23][k]) == 11
+        assert sums[23][12] == Fraction(23010938644320854066401553, 170177482873157760000)
+        text = json.dumps([[str(c) for c in row] for row in sums])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "361bd042475c64a9ef0c7fec94685a9c8229a7e2e62a6c232639cb90a0610a06")
 
 
 class TestExpansionAgainstTheWalk:

@@ -17,7 +17,6 @@ from freecommutant.cumulants import (
     cumulant_of_word_products,
     as_fraction,
     cumulants_from_moments,
-    graded_moments,
     moments_from_cumulants,
     polynomial_moments,
     real_cumulant,
@@ -498,15 +497,9 @@ def linear_in_s(parts) -> bool:
     return all(w.count("s") <= 1 for p in parts for w, _c in p.terms)
 
 
-def engine_graded(parts, dist_s, dist_x, order):
-    """graded_moments, or the Fock-model oracle for a word with two or more
-    s, which graded_moments refuses."""
-    engine = graded_moments if linear_in_s(parts) else fock_graded_moments
-    return engine(parts, dist_s, dist_x, order)
-
-
 def engine_moments(p, dist_s, dist_x, order):
-    """polynomial_moments, or its oracle counterpart as in :func:`engine_graded`."""
+    """polynomial_moments, or the Fock-model oracle for a word with two or
+    more s, which polynomial_moments refuses."""
     if linear_in_s([p]):
         return polynomial_moments(p, dist_s, dist_x, order)
     moments = [m for (m,) in fock_graded_moments([p], dist_s, dist_x, order)]
@@ -561,8 +554,6 @@ class TestPolynomialMoments:
             p = Polynomial([("s", GR_ONE), (word, GR_I)], GR_ONE)
             with pytest.raises(DomainError, match="cumulant_of_polynomials"):
                 polynomial_moments(p, STD_S, FP1, 3)
-            with pytest.raises(DomainError, match="cumulant_of_polynomials"):
-                graded_moments([Polynomial.from_word("x"), p], STD_S, FP1, 3)
             # the partition walk takes it
             cumulant_of_polynomials([p] * 3, STD_S, FP1)
 
@@ -572,35 +563,43 @@ class TestPolynomialMoments:
             polynomial_moments(p, STD_S, FP1, 2)
 
 
-# Parts linear in s for orders 1..10.  The Fock-model oracle grows with the
-# x letters of a term, so orders 7..10 keep to words with at most one x.
+# Polynomials linear in s for orders 1..10.  The Fock-model oracle grows
+# with the x letters of a term, so orders 7..10 keep to words with at most
+# one x.  Every word's reverse is among them, so p + p* keeps to them.
 _LINEAR_WORDS = ["s", "x", "xx", "sx", "xs", "xsx", "sxx", "xxs"]
 gaussians = st.builds(GaussianRational.of, rationals, rationals)
 
 
-def linear_parts(order):
+def linear_poly(order):
     words = _LINEAR_WORDS if order <= 6 else ["s", "x", "sx", "xs"]
-    part = st.builds(Polynomial, st.lists(st.tuples(st.sampled_from(words), gaussians),
+    return st.builds(Polynomial, st.lists(st.tuples(st.sampled_from(words), gaussians),
                                           min_size=1, max_size=3),
                      st.just(GR_ZERO) | gaussians)
-    return st.lists(part, min_size=1, max_size=2)
 
 
 class TestRecursionAgainstFockModel:
-    """graded_moments against the canonical Fock model of
+    """polynomial_moments against the canonical Fock model of
     :func:`fock_graded_moments`, which shares no code with it, on random
-    parts linear in s with a non-semicircular s and a formal x."""
+    polynomials linear in s and their self-adjoint parts, with a
+    non-semicircular s and a formal x."""
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(1, 10).flatmap(lambda n: st.tuples(st.just(n), linear_parts(n))),
+    @given(st.integers(1, 10).flatmap(lambda n: st.tuples(st.just(n), linear_poly(n))),
            st.lists(rationals, min_size=10, max_size=10),
            st.lists(rationals, min_size=20, max_size=20))
-    def test_equals_fock_model(self, order_parts, ks, kx):
-        order, parts = order_parts
+    def test_equals_fock_model(self, order_poly, ks, kx):
+        order, p = order_poly
         dist_s = CumulantSequence(ks[:2] + [ks[2] or 1] + ks[3:])  # kappa_3 != 0
         dist_x = CumulantSequence(kx)
-        assert (graded_moments(parts, dist_s, dist_x, order)
-                == fock_graded_moments(parts, dist_s, dist_x, order))
+        for q in (p, p + p.adjoint()):
+            oracle = [m for (m,) in fock_graded_moments([q], dist_s, dist_x, order)]
+            if any(m.im for m in oracle):
+                assert q == p
+                with pytest.raises(DomainError):
+                    polynomial_moments(q, dist_s, dist_x, order)
+            else:
+                assert polynomial_moments(q, dist_s, dist_x, order).values == tuple(
+                    m.re for m in oracle)
 
 
 # Orders 3-6 with two Q(i) polynomials; orders 5 and 6 use words of at
@@ -613,8 +612,8 @@ longer_kappas = st.lists(rationals, min_size=12, max_size=12)
 
 
 class TestGradedMoments:
-    """The t-graded pass against the grade-0 pass at fixed t; a draw with a
-    word of two or more s checks the Fock-model oracle the same way."""
+    """The t-graded moments of the Fock model, which the oracle of the
+    cancellation sums reads, against the moments of the sum at fixed t."""
 
     @settings(max_examples=40, deadline=None)
     @given(order_and_two_polys, longer_kappas, longer_kappas)
@@ -623,7 +622,7 @@ class TestGradedMoments:
         dist_s, dist_x = CumulantSequence(ks), CumulantSequence(kx)
         if dist_s.is_semicircular:
             dist_s = CumulantSequence([1] + ks[1:])
-        graded = engine_graded([p0, p1], dist_s, dist_x, order)
+        graded = fock_graded_moments([p0, p1], dist_s, dist_x, order)
         assert [len(m) for m in graded] == [j + 1 for j in range(order + 1)]
         for t in (0, 1, 2, -3):
             at_t = [sum((c * t ** d for d, c in enumerate(m)), GR_ZERO) for m in graded]
