@@ -36,7 +36,6 @@ from .cumulants import (
 from .errors import FreeCommutantError, SizeLimitError, SpecSyntaxError
 from .fid import compound_poisson_from_rho, hankel_fid_check
 from .fock import (
-    ADJOINT_MOMENT_ORDER,
     ADJOINT_PAIRS,
     composition_formula_cumulants,
     model_cumulants,
@@ -221,11 +220,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("verify-closed-form",
                           help="closed form for kappa_n(x+i[x,s]) vs full expansion"),
            _cmd_verify_closed_form, x=True, order=6)
-    fock = sub.add_parser("verify-fock",
-                          help="operator model vs composition sums vs closed form")
-    common(fock, _cmd_verify_fock, rho=True, order=6)
-    fock.add_argument("--seed", type=int, default=0,
-                      help="drives the sampled adjointness checks")
+    common(sub.add_parser("verify-fock",
+                          help="operator model vs composition sums vs closed form"),
+           _cmd_verify_fock, rho=True, order=6)
     fid = sub.add_parser("fid-check", help="truncated Hankel positivity witnesses")
     fid.add_argument("--rho", help="driving measure for x (atomic or rho-moments)")
     fid.add_argument("--sequence", help="literal cumulants[...] to check directly")
@@ -343,18 +340,17 @@ def _cmd_verify_closed_form(args) -> dict:
 
 def _cmd_verify_fock(args) -> dict:
     order = _order_or_die(args.max_order)
-    spec = parse_spec(args.rho)
-    rho = spec.rho(max(order, ADJOINT_MOMENT_ORDER) if spec.kind == "atomic" else order)
+    rho = parse_spec(args.rho).rho(order)
     ok, entries = _agreement(
         model=model_cumulants(order, rho),
         composition=composition_formula_cumulants(order, rho),
         closed_form=closed_form_cumulants(order, compound_poisson_from_rho(rho, order)))
-    # None when rho is not known to come from a measure: nothing is sampled then
-    adjoint = verify_adjointness(ADJOINT_PAIRS, 50, rho, args.seed) if rho.genuine else None
+    # None when rho is not known to come from a measure: the adjoint pairs
+    # hold for every moment sequence, but only a measure makes an inner product
+    adjoint = verify_adjointness(ADJOINT_PAIRS) if rho.genuine else None
     return {
         "rho": args.rho,
         "max_order": order,
-        "seed": args.seed,
         "holds": ok and adjoint is not False,
         "adjointness": adjoint,
         "entries": entries,

@@ -8,7 +8,8 @@ into two families whose vacuum moments add up to the cumulants of x + i[x,s]
 when the cumulants of x are the moments of the driving measure; so do the
 paper's sums over compositions, computed here by a first-block recursion.
 Values are exact: ``FockVector`` states hold ``Fraction`` coefficients, or
-ints over dilated moments in the adjointness checks.  The vacuum moments
+ints over integer formal moments in the adjointness check, which decides the
+operator table for every moment sequence at once.  The vacuum moments
 come from a two-level recursion read off the operator table, not from a
 walk over states; it and the first-block recursion run on integer
 numerators of the dilated moments and divide once per output.
@@ -17,7 +18,6 @@ numerators of the dilated moments and divide once per output.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -165,7 +165,7 @@ def _apply_tensor(op: OperatorName, t: tuple[int, ...]) -> Iterator[tuple[tuple[
 
 def apply(op: OperatorName, v: FockVector, rho: MomentSequence | Sequence[int]) -> FockVector:
     """Linear extension of the per-tensor operator action, over any exact
-    coefficient ring: ``rho[k]`` is m_k, from a ``MomentSequence`` or dilated ints."""
+    coefficient ring: ``rho[k]`` is m_k, from a ``MomentSequence`` or ints."""
     acc = {}
     for t, c in v.terms.items():
         for out, k in _apply_tensor(op, t):
@@ -276,53 +276,51 @@ def composition_formula_cumulant(n: int, rho: MomentSequence) -> Fraction:
     return composition_formula_cumulants(n, rho)[-1]
 
 
-# Sampled tensors have at most 5 slots with exponents to _SAMPLE_EXPONENT; one
-# operator raises an exponent by at most one (and reads a moment no higher),
-# and the inner product pairs it with an unraised exponent of the other sample.
-_SAMPLE_EXPONENT = 3
-_SAMPLE_TOTAL = 5 * _SAMPLE_EXPONENT
-ADJOINT_MOMENT_ORDER = 2 * _SAMPLE_EXPONENT + 1
+# verify_adjointness decides each claim on these pairs of basis tensors: one
+# slot against one or two, with exponents 0 and 1, and the same pairs behind
+# one slot of exponent 0 in both.  Their pairings read m_0..m_3 alone.
+_SHORT = [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
+_CHECKED_PAIRS = [(p + t, p + u) for p in ((), (0,)) for t in _SHORT for u in _SHORT
+                  if len(t) + len(u) <= 3]
+_BASIS = {t: FockVector._trusted({t: 1}) for pair in _CHECKED_PAIRS for t in pair}
+_FORMAL_MOMENTS = (1, 2, 2 ** 5, 2 ** 25)
 
 
-def _random_vector(rng: random.Random, d: int) -> FockVector:
-    """One or two terms num/den t (num in -3..3, den in 1..3), held as the
-    ints 6 d^(T - |t|) num/den, with |t| the total exponent, T _SAMPLE_TOTAL."""
-    acc: dict[tuple[int, ...], int] = {}
-    for _ in range(rng.randint(1, 2)):
-        tensor = tuple(rng.randint(0, _SAMPLE_EXPONENT) for _ in range(rng.randint(1, 5)))
-        c = rng.randint(-3, 3) * (6 // rng.randint(1, 3)) * d ** (_SAMPLE_TOTAL - sum(tensor))
-        acc[tensor] = acc.get(tensor, 0) + c
-        if not acc[tensor]:
-            del acc[tensor]
-    return FockVector._trusted(acc)
+def verify_adjointness(pairs: Sequence[tuple[OperatorName, OperatorName]]) -> bool:
+    """Decide exactly whether <A t, u> = <t, B u> for each (A, B) pair, for
+    all basis tensors t, u and every moment sequence, from the tensors of
+    :data:`_CHECKED_PAIRS` over the integer formal moments m_0 = 1,
+    m_k = 2^(5^(k-1)).  Tensors whose lengths differ by two or more pair to 0
+    on both sides, since a rule changes the length by at most one.
 
+    (a) Let l be the shorter length.  Only rule outputs of the other
+    tensor's length pair to nonzero, and each of them touches only the last
+    slot, a new one, or, going down from l + 1 >= 2 slots, the last two; so
+    none of the first l - 1 slots of either tensor is read or written, and
+    which rules act depends only on the parity of the length.  Both sides
+    therefore share the factor <p, q> of those slots, a nonzero monomial.
+    Dropping them, with one slot of exponent 0 left in front of both when
+    l - 1 is odd (m_0 = 1) to keep the parity, reduces every pair to a
+    checked pair up to its exponents.
+    (b) For fixed lengths each side is 0 at every exponent or one monomial
+    prod_i m_{f_i}, each index f_i a constant plus the exponents of distinct
+    slots.  The sum over i of z^{f_i} - 1 names the monomial (m_0 drops out)
+    and is multilinear in the z^e of the exponents e, so sides that agree
+    at every exponent in {0, 1} agree at every exponent.
+    (c) Over these moments a monomial of degree at most 4 in m_1, m_2, m_3
+    is 2^w, with its exponents as the base-5 digits of w.  On a checked
+    pair each side has at most three pairings and one moment of a rule, all
+    of index at most 3, so equal integers are equal monomials.
 
-def verify_adjointness(pairs: Sequence[tuple[OperatorName, OperatorName]],
-                       samples: int, rho: MomentSequence, seed: int) -> bool:
-    """Check <A u, v> = <u, B v> exactly on seeded pseudo-random small states
-    for each (A, B) pair; needs a genuine-measure moment sequence (adjointness
-    means nothing for a formal one) to order :data:`ADJOINT_MOMENT_ORDER`, a
-    sample and a pair.  States hold ints over :func:`dilate`'s moments: every
-    :func:`_apply_tensor` rule adds one to total exponent plus moment index, so
-    each side is exactly 36 d^(2T + 1) times its value on the rational states.
-
-    With every odd moment of rho 0, most pairings vanish, and a non-adjoint
-    pair is refuted only at some seeds: (XSHAT, XSHAT) passes 50 samples on
-    atomic(1/2:-1,1/2:1) at seed 11."""
-    if samples < 1 or not pairs:
-        raise DomainError(f"adjointness checks need a sample and a pair, got {samples}, {pairs!r}")
-    if not rho.genuine:
-        raise DomainError("adjointness checks need a genuine-measure moment sequence")
-    if rho.max_order < ADJOINT_MOMENT_ORDER:
-        raise TruncationError(
-            f"adjointness samples need moments to order {ADJOINT_MOMENT_ORDER},"
-            f" have {rho.max_order}")
-    m, d = dilate(rho.values[:ADJOINT_MOMENT_ORDER + 1])
-    rng = random.Random(seed)
-    for _ in range(samples):
-        u = _random_vector(rng, d)
-        v = _random_vector(rng, d)
-        for a, b in pairs:
-            if inner_product(apply(a, u, m), v, m) != inner_product(u, apply(b, v, m), m):
+    That the pairing is an inner product needs a genuine measure, which the
+    caller decides.  Every call applies each operator to the basis anew."""
+    if not pairs:
+        raise DomainError(f"adjointness checks need a pair, got {pairs!r}")
+    m = _FORMAL_MOMENTS
+    for a, b in pairs:
+        image_a = {t: apply(a, v, m) for t, v in _BASIS.items()}
+        image_b = {t: apply(b, v, m) for t, v in _BASIS.items()}
+        for t, u in _CHECKED_PAIRS:
+            if inner_product(image_a[t], _BASIS[u], m) != inner_product(_BASIS[t], image_b[u], m):
                 return False
     return True

@@ -11,9 +11,11 @@ lattice join that ``joins_to_full`` decides without materializing.
 ``vacuum_moments_by_apply`` walks the operator model on ``FockVector``
 states of ``Fraction`` coefficients, through ``apply`` and
 ``inner_product``: the oracle of the model's two-level recursion.
-``adjointness_by_fractions`` is the adjointness check on ``Fraction``
-states over the moments themselves, drawn from the same seeded stream as
-``verify_adjointness`` draws its integer states from.
+``adjointness_by_fractions`` checks adjointness on seeded random
+``Fraction`` states over the moments of one measure: the sampled oracle of
+``verify_adjointness``, which decides it for every moment sequence;
+``adjoint_pairs_by_exhaustion`` decides it over every small basis tensor,
+the oracle of the reduction that lets ``verify_adjointness`` check few.
 ``fock_graded_moments`` is Voiculescu's canonical model of an R-transform on
 the full Fock space over {s, x}, graded by the powers of a parameter t: the
 oracle of ``polynomial_moments``, which it accepts any polynomial for, not
@@ -27,6 +29,7 @@ partition (acceptance criterion 7).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -46,7 +49,6 @@ from freecommutant.cumulants import (
 )
 from freecommutant.errors import DomainError, GroundSetError, KindError, TruncationError
 from freecommutant.fock import (
-    _SAMPLE_EXPONENT,
     FockVector,
     OperatorName,
     apply,
@@ -257,14 +259,20 @@ def vacuum_moments_by_apply(ops: Sequence[OperatorName], order: int,
     return moments
 
 
+# Sampled tensors have 1 to 5 slots with exponents to SAMPLE_EXPONENT; an
+# operator raises one by at most one, so the sampled pairings read moments
+# to SAMPLE_MOMENT_ORDER.
+SAMPLE_EXPONENT = 3
+SAMPLE_MOMENT_ORDER = 2 * SAMPLE_EXPONENT + 1
+
+
 def random_fraction_vector(rng: random.Random) -> FockVector:
-    """The sample state that ``verify_adjointness`` draws from the same
-    stream, with its rational coefficients num/den (num in -3..3, den in
-    1..3) as they are."""
+    """One or two terms num/den t (num in -3..3, den in 1..3) over random
+    basis tensors t."""
     terms = []
     for _ in range(rng.randint(1, 2)):
         length = rng.randint(1, 5)
-        tensor = tuple(rng.randint(0, _SAMPLE_EXPONENT) for _ in range(length))
+        tensor = tuple(rng.randint(0, SAMPLE_EXPONENT) for _ in range(length))
         coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         terms.append((tensor, coeff))
     return FockVector(terms)
@@ -282,6 +290,22 @@ def adjointness_by_fractions(pairs: Sequence[tuple[OperatorName, OperatorName]],
             if inner_product(apply(a, u, rho), v, rho) != inner_product(u, apply(b, v, rho), rho):
                 return False
     return True
+
+
+def adjoint_pairs_by_exhaustion(slots: int, top: int) -> set[tuple[OperatorName, OperatorName]]:
+    """The ordered operator pairs (A, B) with <A t, u> = <t, B u> for every
+    two basis tensors of at most ``slots`` slots and exponents at most
+    ``top``, over the formal moments m_0 = 1, m_k = 2^(w^(k-1)), w = slots +
+    2: each side is 0 or a monomial of degree at most slots + 1 in m_1 to
+    m_{2 top + 1}, so equal integers are equal monomials."""
+    moments = [1] + [2 ** (slots + 2) ** (k - 1) for k in range(1, 2 * top + 2)]
+    basis = {t: FockVector({t: 1}) for n in range(1, slots + 1)
+             for t in itertools.product(range(top + 1), repeat=n)}
+    images = {op: {t: apply(op, v, moments) for t, v in basis.items()} for op in OperatorName}
+    pairs = [(t, u) for t in basis for u in basis if abs(len(t) - len(u)) <= 1]
+    return {(a, b) for a in OperatorName for b in OperatorName
+            if all(inner_product(images[a][t], basis[u], moments)
+                   == inner_product(basis[t], images[b][u], moments) for t, u in pairs)}
 
 
 def over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:

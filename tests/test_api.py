@@ -34,7 +34,7 @@ PUBLIC = {
                "KindError", "SizeLimitError", "SpecSyntaxError", "TruncationError"],
     "fid": ["FidVerdict", "compound_poisson_from_rho", "hankel_fid_check"],
     "fock": [
-        "ADJOINT_MOMENT_ORDER", "ADJOINT_PAIRS", "FockVector", "HAT_SUM", "OperatorName",
+        "ADJOINT_PAIRS", "FockVector", "HAT_SUM", "OperatorName",
         "TILDE_SUM", "apply", "composition_formula_cumulant", "composition_formula_cumulants",
         "inner_product", "model_cumulant", "model_cumulants", "verify_adjointness",
     ],
@@ -134,3 +134,14 @@ def test_only_the_cli_reads_process_global_inputs():
                 assert node.attr not in limits | {"environ", "getenv"}, (path.name, node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 assert not any(name in node.value for name in limits), (path.name, node.value)
+
+
+def test_no_module_imports_random():
+    # every verdict is exact: nothing in the library is drawn at random, so
+    # none can pass or fail by the luck of a seed
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                assert "random" not in {a.name.split(".")[0] for a in node.names}, path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] != "random", path.name

@@ -157,7 +157,7 @@ class TestCommands:
 
     def test_verify_fock_atomic_runs_adjointness(self, capsys):
         code, out, _ = run_main(
-            ["verify-fock", "--rho", "atomic(1:1)", "--max-order", "4", "--seed", "5"], capsys)
+            ["verify-fock", "--rho", "atomic(1:1)", "--max-order", "4"], capsys)
         assert code == 0
         payload = json.loads(out)
         assert payload["adjointness"] is True
@@ -347,13 +347,12 @@ _COMMANDS = {
 
 
 class TestRemovedFlags:
-    """``--jobs`` is gone from every command, ``--seed`` from all but
-    verify-fock, its only reader, and ``--s-var`` from verify-closed-form
-    and cumulants, which never read it: each is an unknown argument there."""
+    """``--jobs`` and ``--seed`` are gone from every command, and ``--s-var``
+    from verify-closed-form and cumulants, which never read it: each is an
+    unknown argument there."""
 
     @pytest.mark.parametrize("command,flag", [
-        (command, flag) for command in _COMMANDS for flag in ("--jobs", "--seed")
-        if (command, flag) != ("verify-fock", "--seed")] + [
+        (command, flag) for command in _COMMANDS for flag in ("--jobs", "--seed")] + [
         ("verify-closed-form", "--s-var"), ("cumulants", "--s-var")])
     def test_exits_two_without_traceback(self, capsys, command, flag):
         code, out, err = run_main([command] + _COMMANDS[command] + [flag, "2"], capsys)

@@ -60,8 +60,7 @@ def cases() -> list[tuple[dict[str, str], list[str]]]:
         out.append((cap, ["cancellation", "--x", x, "--max-order", "10", "--format", "table"]))
         out.append((cap, ["verify-closed-form", "--x", x, "--max-order", "14"]))
     for i, rho in enumerate(_RHO):
-        out.append(({}, ["verify-fock", "--rho", rho, "--max-order", str(1 + i),
-                         "--seed", str(i)]))
+        out.append(({}, ["verify-fock", "--rho", rho, "--max-order", str(1 + i)]))
         out.append((cap, ["verify-fock", "--rho", rho, "--max-order", "14"]))
         out.append((cap, ["verify-fock", "--rho", rho, "--max-order", "13", "--format", "table"]))
         out.append(({}, ["fid-check", "--rho", rho, "--size", str(1 + i % 4)]))
