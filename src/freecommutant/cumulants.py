@@ -94,10 +94,6 @@ class GaussianRational:
     re: Fraction = _ZERO
     im: Fraction = _ZERO
 
-    @classmethod
-    def of(cls, re=0, im=0) -> "GaussianRational":
-        return cls(as_fraction(re), as_fraction(im))
-
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re + other.re, self.im + other.im)
 
@@ -120,10 +116,6 @@ class GaussianRational:
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -177,15 +169,6 @@ class CumulantSequence:
         r = as_fraction(rate)
         return cls([r] * order)
 
-    @classmethod
-    def point_mass(cls, atom, order: int) -> "CumulantSequence":
-        a = as_fraction(atom)
-        return cls([a if k == 1 else 0 for k in range(1, order + 1)])
-
-    @classmethod
-    def zero(cls, order: int) -> "CumulantSequence":
-        return cls([0] * order)
-
     def dilated(self, c) -> "CumulantSequence":
         """Cumulants of the dilation by c: kappa_k -> c^k kappa_k."""
         f = as_fraction(c)
@@ -227,10 +210,6 @@ class MomentSequence:
             raise DomainError("atom weights must sum to 1")
         values = [sum((w * a ** k for w, a in pairs), _ZERO) for k in range(order + 1)]
         return cls(values, genuine=True)
-
-    @classmethod
-    def delta(cls, point, order: int) -> "MomentSequence":
-        return cls.from_atoms([(1, point)], order)
 
     @property
     def max_order(self) -> int:
@@ -382,10 +361,6 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial(self.terms + other.terms, self.constant + other.constant)
-
-    def scaled(self, coeff) -> "Polynomial":
-        c = coeff if isinstance(coeff, GaussianRational) else GaussianRational.of(coeff)
-        return Polynomial([(w, c * g) for w, g in self.terms], c * self.constant)
 
     def adjoint(self) -> "Polynomial":
         """Reverse every word and conjugate every coefficient."""

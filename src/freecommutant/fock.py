@@ -7,9 +7,10 @@ multiplying into the last slot, or contracting against a moment of Y, split
 into two families whose vacuum moments add up to the cumulants of x + i[x,s]
 when the cumulants of x are the moments of the driving measure; so do the
 paper's sums over compositions, computed here by a first-block recursion.
-Values are exact: ``FockVector`` states hold ``Fraction`` coefficients, or
-ints over integer formal moments in the adjointness check, which decides the
-operator table for every moment sequence at once.  The vacuum moments
+Values are exact.  In the package only the adjointness check gives
+``apply`` its states: basis tensors with int coefficients, over integer
+formal moments, which decide the operator table for every moment sequence
+at once; ``Fraction`` states are test code.  The vacuum moments
 come from a two-level recursion read off the operator table, not from a
 walk over states; it and the first-block recursion run on integer
 numerators of the dilated moments and divide once per output.
@@ -18,23 +19,13 @@ numerators of the dilated moments and divide once per output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .cumulants import (
-    MomentSequence,
-    as_fraction,
-    composition_series,
-    dilate,
-    first_block_sum,
-    format_rational,
-)
+from .cumulants import MomentSequence, composition_series, dilate, first_block_sum
 from .errors import DomainError, TruncationError
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class OperatorName(Enum):
@@ -46,9 +37,6 @@ class OperatorName(Enum):
     SXTILDE = "sxtilde"
 
 
-HAT_SUM = (OperatorName.XHAT, OperatorName.XSHAT, OperatorName.SXHAT)
-TILDE_SUM = (OperatorName.XTILDE, OperatorName.XSTILDE, OperatorName.SXTILDE)
-
 # (operator, claimed adjoint) pairs asserted by the model
 ADJOINT_PAIRS = (
     (OperatorName.XHAT, OperatorName.XHAT),
@@ -58,75 +46,12 @@ ADJOINT_PAIRS = (
 )
 
 
-def _check_tensor(t: tuple[int, ...]) -> None:
-    if not t or any((not isinstance(e, int)) or e < 0 for e in t):
-        raise DomainError(f"basis tensors are nonempty tuples of nonnegative ints, got {t!r}")
-
-
 @dataclass(frozen=True, slots=True)
 class FockVector:
-    """Sparse rational combination of elementary tensors.  Built from any
-    iterable of (tensor, coefficient) pairs or a dict; like terms merge and
-    zero coefficients are dropped."""
+    """Sparse combination of elementary tensors: each basis tensor maps to
+    its nonzero coefficient, a ``Fraction`` or an int."""
 
-    terms: dict[tuple[int, ...], Fraction] = field(default_factory=dict)
-
-    def __post_init__(self):
-        items = self.terms.items() if isinstance(self.terms, dict) else self.terms
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for t, c in items:
-            t = tuple(t)
-            _check_tensor(t)
-            c = as_fraction(c)
-            if c:
-                acc[t] = acc.get(t, _ZERO) + c
-                if not acc[t]:
-                    del acc[t]
-        object.__setattr__(self, "terms", acc)
-
-    @classmethod
-    def _trusted(cls, terms: dict[tuple[int, ...], Fraction]) -> "FockVector":
-        """Wrap a dict that is already canonical (valid tensors, nonzero
-        Fractions or ints) without validating it again; for vectors built here."""
-        v = object.__new__(cls)
-        object.__setattr__(v, "terms", terms)
-        return v
-
-    @classmethod
-    def vacuum(cls) -> "FockVector":
-        return cls([((0,), _ONE)])
-
-    @classmethod
-    def zero(cls) -> "FockVector":
-        return cls()
-
-    def items(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return sorted(self.terms.items())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        acc = dict(self.terms)
-        for t, c in other.terms.items():
-            acc[t] = acc.get(t, _ZERO) + c
-            if not acc[t]:
-                del acc[t]
-        return FockVector._trusted(acc)
-
-    def scaled(self, c) -> "FockVector":
-        f = as_fraction(c)
-        return FockVector({t: v * f for t, v in self.terms.items()})
-
-    def __repr__(self) -> str:
-        return f"FockVector({self.items()!r})"
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"exponents": list(t), "coeff": format_rational(c)}
-            for t, c in self.items()
-        ]
+    terms: dict[tuple[int, ...], Fraction | int]
 
 
 def _apply_tensor(op: OperatorName, t: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -174,7 +99,7 @@ def apply(op: OperatorName, v: FockVector, rho: MomentSequence | Sequence[int]) 
                 acc[out] = acc.get(out, 0) + cw
                 if not acc[out]:
                     del acc[out]
-    return FockVector._trusted(acc)
+    return FockVector(acc)
 
 
 def inner_product(u: FockVector, v: FockVector, rho: MomentSequence | Sequence[int]):
@@ -198,11 +123,12 @@ def inner_product(u: FockVector, v: FockVector, rho: MomentSequence | Sequence[i
 
 
 def _operator_sums(order: int, rho: MomentSequence) -> tuple[list[Fraction], list[Fraction]]:
-    """<(sum of ops)^j Omega, Omega> for j = 1..order, for HAT_SUM and for
-    TILDE_SUM, from one pass of a two-level recursion: the walk's level
-    structure, read off the rules of :func:`_apply_tensor`.  Each rule
-    touches only the last one or two slots, so the walk is a pushdown system
-    whose levels alternate.  An A level increments its top slot, or does so
+    """<(sum of ops)^j Omega, Omega> for j = 1..order, for the hat sum
+    XHAT + XSHAT + SXHAT and for the tilde sum XTILDE + XSTILDE + SXTILDE,
+    from one pass of a two-level recursion: the walk's level structure,
+    read off the rules of :func:`_apply_tensor`.  Each rule touches only the
+    last one or two slots, so the walk is a pushdown system whose levels
+    alternate.  An A level increments its top slot, or does so
     and pushes a B level, or pops with weight m_{top+1}; a B level pushes a
     slot 1 as an A level, or pops with weight m_0, incrementing the slot
     below.  With alpha_j[e] the A-level loops of j steps and e increments,
@@ -210,13 +136,13 @@ def _operator_sums(order: int, rho: MomentSequence) -> tuple[list[Fraction], lis
     alpha_j[e] = alpha_{j-1}[e-1] + sum_i beta_i alpha_{j-2-i}[e-2] and
     beta_j = sum_i g_i beta_{j-2-i}.  These expand the generating functions
     A(y,z) = 1/(1 - yz(1 + yz B(z))) and B(z) = 1/(1 - z^2 G(z)), with
-    G(z) = sum_i g_i z^i, y marking increments and z steps.  HAT_SUM starts
-    on an A level and reads sum_e alpha_j[e] m_e, TILDE_SUM on a B level and
-    reads beta_j; both read m_0..m_order and nothing past it.  This is
-    a derivation from the operator table, not a route independent of it;
-    the tests hold it to the literal walk through :func:`apply`.  Weights
-    are homogeneous in the step count, so the pass runs on the integers of
-    :func:`dilate` and divides by d^j.  O(order^3)."""
+    G(z) = sum_i g_i z^i, y marking increments and z steps.  The hat sum
+    starts on an A level and reads sum_e alpha_j[e] m_e, the tilde sum on a
+    B level and reads beta_j; both read m_0..m_order and nothing past it.
+    This is a derivation from the operator table, not a route independent
+    of it; the tests hold it to the literal walk through :func:`apply`.
+    Weights are homogeneous in the step count, so the pass runs on the
+    integers of :func:`dilate` and divides by d^j.  O(order^3)."""
     if order < 1:
         raise DomainError(f"order must be positive, got {order}")
     if rho.max_order < order:
@@ -282,7 +208,7 @@ def composition_formula_cumulant(n: int, rho: MomentSequence) -> Fraction:
 _SHORT = [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
 _CHECKED_PAIRS = [(p + t, p + u) for p in ((), (0,)) for t in _SHORT for u in _SHORT
                   if len(t) + len(u) <= 3]
-_BASIS = {t: FockVector._trusted({t: 1}) for pair in _CHECKED_PAIRS for t in pair}
+_BASIS = {t: FockVector({t: 1}) for pair in _CHECKED_PAIRS for t in pair}
 _FORMAL_MOMENTS = (1, 2, 2 ** 5, 2 ** 25)
 
 

@@ -53,14 +53,6 @@ class Partition:
             raise DomainError(f"blocks do not partition {{1..{n}}}: {canon}")
         object.__setattr__(self, "blocks", tuple(canon))
 
-    @classmethod
-    def full(cls, n: int) -> "Partition":
-        return cls(n, [range(1, n + 1)])
-
-    @classmethod
-    def singletons(cls, n: int) -> "Partition":
-        return cls(n, [[i] for i in range(1, n + 1)])
-
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)

@@ -25,6 +25,9 @@ oracle of ``cancellation_sums``.
 ``boxplus`` is free additive convolution as the entrywise sum of cumulants,
 and ``assign_by_blocks`` fills a tuple cyclically along the blocks of a
 partition (acceptance criterion 7).
+The tests build their states with ``fock_vector`` and sum them with ``add``;
+``gaussian`` builds a ``GaussianRational`` and ``scaled`` multiplies a
+``Polynomial`` by a coefficient.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from freecommutant.cumulants import (
     MomentSequence,
     Polynomial,
     _kappa_table,
+    as_fraction,
     dilation,
 )
 from freecommutant.errors import DomainError, GroundSetError, KindError, TruncationError
@@ -240,21 +244,48 @@ def enumerated_composition_formula(n: int, rho: MomentSequence) -> Fraction:
     return sum((Fraction(v, den ** b) for b, v in enumerate(by_blocks) if v), Fraction(0))
 
 
+def fock_vector(pairs: Iterable[tuple]) -> FockVector:
+    """The state of (tensor, coefficient) pairs: like terms merge,
+    coefficients become ``Fraction`` and zeros drop.  A tensor that is not a
+    nonempty tuple of nonnegative ints is a ``DomainError``."""
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for t, c in pairs:
+        t = tuple(t)
+        if not t or any(not isinstance(e, int) or e < 0 for e in t):
+            raise DomainError(f"basis tensors are nonempty tuples of nonnegative ints, got {t!r}")
+        acc[t] = acc.get(t, 0) + as_fraction(c)
+    return FockVector({t: c for t, c in acc.items() if c})
+
+
+def add(*states: FockVector) -> FockVector:
+    """The sum of the states, as a :func:`fock_vector`."""
+    return fock_vector(term for v in states for term in v.terms.items())
+
+
+def gaussian(re=0, im=0) -> GaussianRational:
+    """re + i im from ints, Fractions or 'p/q' strings."""
+    return GaussianRational(as_fraction(re), as_fraction(im))
+
+
+def scaled(p: Polynomial, coeff) -> Polynomial:
+    """coeff p, for a ``GaussianRational`` or a rational coeff."""
+    c = coeff if isinstance(coeff, GaussianRational) else gaussian(coeff)
+    return Polynomial([(w, c * g) for w, g in p.terms], c * p.constant)
+
+
 def vacuum_moments_by_apply(ops: Sequence[OperatorName], order: int,
                             rho: MomentSequence) -> list[Fraction]:
     """<(sum of ops)^j Omega, Omega> for j = 1..order: the state applied to
     by every operator with :func:`freecommutant.fock.apply`, tensors longer
     than the steps still to come plus one dropped, and paired with the
     vacuum by :func:`freecommutant.fock.inner_product`."""
-    vacuum = FockVector.vacuum()
+    vacuum = fock_vector([((0,), 1)])
     state = vacuum
     moments = []
     for j in range(1, order + 1):
-        out = FockVector.zero()
-        for op in ops:
-            out = out + apply(op, state, rho)
+        out = add(*(apply(op, state, rho) for op in ops))
         reach = order - j + 1
-        state = FockVector({t: c for t, c in out.terms.items() if len(t) <= reach})
+        state = fock_vector((t, c) for t, c in out.terms.items() if len(t) <= reach)
         moments.append(inner_product(state, vacuum, rho))
     return moments
 
@@ -275,7 +306,7 @@ def random_fraction_vector(rng: random.Random) -> FockVector:
         tensor = tuple(rng.randint(0, SAMPLE_EXPONENT) for _ in range(length))
         coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         terms.append((tensor, coeff))
-    return FockVector(terms)
+    return fock_vector(terms)
 
 
 def adjointness_by_fractions(pairs: Sequence[tuple[OperatorName, OperatorName]],

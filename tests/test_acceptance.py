@@ -27,8 +27,7 @@ from freecommutant.cumulants import (
 from freecommutant.fid import compound_poisson_from_rho, hankel_fid_check
 from freecommutant.fock import (
     ADJOINT_PAIRS,
-    HAT_SUM,
-    TILDE_SUM,
+    OperatorName,
     composition_formula_cumulant,
     model_cumulant,
     verify_adjointness,
@@ -42,6 +41,8 @@ from freecommutant.partitions import (
 from partition_oracles import assign_by_blocks, joined_cumulant_naive, vacuum_moments_by_apply
 
 ORDER = 8
+HAT_SUM = (OperatorName.XHAT, OperatorName.XSHAT, OperatorName.SXHAT)
+TILDE_SUM = (OperatorName.XTILDE, OperatorName.XSTILDE, OperatorName.SXTILDE)
 
 
 def atomic_cumulants(atoms, order=ORDER):
@@ -61,8 +62,8 @@ X_SUITE = {
 S_VARIANCES = (1, 2)
 
 RHO_SUITE = {
-    "delta1": MomentSequence.delta(1, ORDER + 2),
-    "delta2": MomentSequence.delta(2, ORDER + 2),
+    "delta1": MomentSequence.from_atoms([(1, 1)], ORDER + 2),
+    "delta2": MomentSequence.from_atoms([(1, 2)], ORDER + 2),
     "half(delta-1+delta1)": MomentSequence.from_atoms(
         [(Fraction(1, 2), -1), (Fraction(1, 2), 1)], ORDER + 2),
     "half-delta0+half-delta3": MomentSequence.from_atoms(

@@ -1,11 +1,13 @@
 """The public names of the package, pinned per module: a top-level name
 without a leading underscore added to or dropped from any module shows up
 as a diff of ``PUBLIC``.  The package binds nothing but its submodules, so
-every name is imported from the module that defines it."""
+every name is imported from the module that defines it, and each public
+name and method has a caller in the package itself."""
 
 import ast
 import importlib
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import freecommutant
@@ -34,24 +36,28 @@ PUBLIC = {
                "KindError", "SizeLimitError", "SpecSyntaxError", "TruncationError"],
     "fid": ["FidVerdict", "compound_poisson_from_rho", "hankel_fid_check"],
     "fock": [
-        "ADJOINT_PAIRS", "FockVector", "HAT_SUM", "OperatorName",
-        "TILDE_SUM", "apply", "composition_formula_cumulant", "composition_formula_cumulants",
-        "inner_product", "model_cumulant", "model_cumulants", "verify_adjointness",
+        "ADJOINT_PAIRS", "FockVector", "OperatorName", "apply", "composition_formula_cumulant",
+        "composition_formula_cumulants", "inner_product", "model_cumulant", "model_cumulants",
+        "verify_adjointness",
     ],
     "partitions": ["Partition", "PartitionKind", "compose_interval", "is_interval",
                    "is_noncrossing", "iter_partitions"],
 }
 
 
-def _top_level_names(path: Path) -> list[str]:
-    names = []
+def _definitions(path: Path):
+    """(qualified name, defining node) of each top-level name of the module
+    and each method of its top-level classes."""
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.append(node.name)
+            yield node.name, node
+            for member in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{member.name}", member
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-    return names
+            yield from ((n.id, node) for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name))
 
 
 def _public_objects():
@@ -64,7 +70,7 @@ def _public_objects():
 def test_public_names_are_pinned():
     found = {}
     for path in sorted(SRC.glob("*.py")):
-        names = _top_level_names(path)
+        names = [name for name, _ in _definitions(path) if "." not in name]
         assert "__all__" not in names, path.name
         if path.stem != "__init__":
             found[path.stem] = sorted(n for n in names if not n.startswith("_"))
@@ -94,9 +100,9 @@ def test_no_call_site_knobs():
         "dist_s", "dist_x"]
 
 
-def test_every_name_the_benchmark_tracer_wraps_exists():
-    # perfbench/tracer.py wraps these functions by name; its tables are read
-    # without importing it, so a renamed or deleted name fails here first
+def _tracer_targets() -> set[tuple[str, str]]:
+    """(module, function) of every row of perfbench/tracer.py's TARGETS and
+    GENERATORS, read without importing it."""
     tables = {}
     for node in ast.parse(TRACER.read_text()).body:
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
@@ -104,8 +110,37 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
             if isinstance(target, ast.Name) and target.id in {"TARGETS", "GENERATORS"}:
                 tables[target.id] = ast.literal_eval(node.value)
     assert sorted(tables) == ["GENERATORS", "TARGETS"]
-    for module_name, name, *_ in (row for rows in tables.values() for row in rows):
+    return {(module_name, name) for rows in tables.values() for module_name, name, *_ in rows}
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # the tracer wraps these functions by name, so a renamed or deleted name
+    # fails here first
+    for module_name, name in _tracer_targets():
         assert name in PUBLIC.get(module_name, ()), (module_name, name)
+
+
+def _loads(node: ast.AST) -> Counter:
+    """How often each identifier is read under ``node``, as a name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    # API that only tests call is test code: it belongs in tests/; the
+    # benchmark's traced functions and the entry point are called from outside
+    outside = _tracer_targets() | {("cli", "main")}
+    paths = sorted(SRC.glob("*.py"))
+    reads = sum((_loads(ast.parse(path.read_text())) for path in paths), Counter())
+    uncalled = []
+    for path in paths:
+        for qualname, node in _definitions(path):
+            name = qualname.rpartition(".")[2]
+            if (not any(part.startswith("_") for part in qualname.split("."))
+                    and (path.stem, qualname) not in outside
+                    and reads[name] == _loads(node)[name]):
+                uncalled.append(f"{path.stem}.{qualname}")
+    assert not uncalled, "no caller in the package: " + ", ".join(uncalled)
 
 
 def test_cumulants_does_not_import_partitions():

@@ -40,7 +40,7 @@ from freecommutant.cumulants import (
     real_cumulant,
 )
 from freecommutant.errors import DomainError, TruncationError
-from partition_oracles import fock_cancellation_sums
+from partition_oracles import fock_cancellation_sums, gaussian
 
 STD_S = CumulantSequence.semicircular(1, 8)
 FP1 = CumulantSequence.free_poisson(1, 8)
@@ -77,8 +77,8 @@ def per_t_coefficients(n, pair):
     cumulant sequence per t = 0..n, interpolated."""
     values = []
     for t in range(n + 1):
-        p = Polynomial([("s", GR_ONE), ("sx", GaussianRational.of(t)),
-                        ("xs", GaussianRational.of(-t))])
+        p = Polynomial([("s", GR_ONE), ("sx", gaussian(t)),
+                        ("xs", gaussian(-t))])
         values.append(cumulant_sequence_of(p, pair, n).kappa(n))
     return _coefficients_from_values(values)
 
@@ -150,7 +150,7 @@ class TestAdditivity:
         assert pair.semicircular_hypothesis
 
     def test_point_mass_is_degenerate(self):
-        pair = DistributionPair.standard(CumulantSequence.point_mass(5, 6), 1, 6)
+        pair = DistributionPair.standard(CumulantSequence([5, 0, 0, 0, 0, 0]), 1, 6)
         reports = verify_additivity(pair, 6)
         assert all(r.holds for r in reports)
         assert all(r.rhs_c == 0 for r in reports)
@@ -213,7 +213,7 @@ class TestFreenessWitness:
         assert freeness_witness(DistributionPair.standard(FP1, 1, 4)) == 1
 
     def test_scalar_x_gives_zero(self):
-        pair = DistributionPair.standard(CumulantSequence.point_mass(3, 4), 1, 4)
+        pair = DistributionPair.standard(CumulantSequence([3, 0, 0, 0]), 1, 4)
         assert freeness_witness(pair) == 0
 
     def test_variances_multiply(self):
@@ -267,7 +267,7 @@ class TestCancellation:
         pair = DistributionPair.standard(FP1, 1, 4)
         value = cancellation_sum(2, 1, pair)
         assert isinstance(value, GaussianRational)
-        assert value.is_real
+        assert value.im == 0
 
     def test_command_makes_two_engine_passes(self, capsys, monkeypatch):
         passes = []
@@ -534,7 +534,7 @@ class TestClosedForm:
 
     def test_sum_with_commutator_polynomials(self):
         assert sum_with_commutator() == (
-            Polynomial([("s", GaussianRational.of(1)),
+            Polynomial([("s", gaussian(1)),
                         ("sx", GR_I), ("xs", -GR_I)]))
         assert perturbed_partner().is_self_adjoint
 
@@ -581,7 +581,7 @@ class TestMomentRouteCrossCheck:
                 if word not in traces:
                     traces[word] = cumulant_of_word_products((word,), pair.dist_s, pair.dist_x)
                 total = total + coeff * traces[word]
-            assert total.is_real
+            assert total.im == 0
             values.append(total.re)
         return MomentSequence(values)
 

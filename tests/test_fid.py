@@ -26,7 +26,7 @@ class TestBoxplus:
 
     def test_zero_is_neutral(self):
         a = CumulantSequence([1, 2, 3, 4])
-        assert boxplus(a, CumulantSequence.zero(4), 4) == a
+        assert boxplus(a, CumulantSequence([0] * 4), 4) == a
 
     def test_matches_additivity_reports(self):
         pair = DistributionPair.standard(CumulantSequence.free_poisson(1, 6), 1, 6)
@@ -51,7 +51,7 @@ class TestBoxplus:
 
 class TestCompoundPoisson:
     def test_point_mass_driver_gives_free_poisson(self):
-        rho = MomentSequence.delta(1, 8)
+        rho = MomentSequence.from_atoms([(1, 1)], 8)
         assert compound_poisson_from_rho(rho, 8) == CumulantSequence.free_poisson(1, 8)
 
     def test_symmetric_bernoulli_driver(self):
@@ -60,7 +60,7 @@ class TestCompoundPoisson:
         assert got == CumulantSequence([0, 1, 0, 1, 0, 1])
 
     def test_scaled_point_mass(self):
-        rho = MomentSequence.delta(Fraction(3, 2), 5)
+        rho = MomentSequence.from_atoms([(1, Fraction(3, 2))], 5)
         got = compound_poisson_from_rho(rho, 5)
         assert got == CumulantSequence([Fraction(3, 2) ** n for n in range(1, 6)])
 
@@ -72,7 +72,7 @@ class TestCompoundPoisson:
 
     def test_truncation(self):
         with pytest.raises(TruncationError):
-            compound_poisson_from_rho(MomentSequence.delta(1, 3), 4)
+            compound_poisson_from_rho(MomentSequence.from_atoms([(1, 1)], 3), 4)
 
 
 class TestHankelCheck:

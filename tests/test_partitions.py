@@ -147,7 +147,7 @@ class TestJoin:
     def test_cycle_connects_everything(self):
         p = Partition(4, [[1, 2], [3, 4]])
         q = Partition(4, [[1, 4], [2, 3]])
-        assert join(p, q) == Partition.full(4)
+        assert join(p, q) == Partition(4, [[1, 2, 3, 4]])
 
     def test_idempotent_on_self(self):
         p = Partition(5, [[1, 3], [2], [4, 5]])
@@ -155,7 +155,7 @@ class TestJoin:
 
     def test_with_discrete(self):
         p = Partition(3, [[1, 3], [2]])
-        assert join(Partition.singletons(3), p) == p
+        assert join(Partition(3, [[1], [2], [3]]), p) == p
 
     def test_joins_to_full_by_chain(self):
         assert joins_to_full(Partition(4, [[1, 2], [3, 4]]), Partition(4, [[2, 3], [1], [4]]))
@@ -165,13 +165,13 @@ class TestJoin:
                                  Partition(4, [[1, 2], [3], [4]]))
 
     def test_full_joins_with_anything(self):
-        assert joins_to_full(Partition.full(5), Partition.singletons(5))
+        assert joins_to_full(Partition(5, [range(1, 6)]), Partition(5, [[i] for i in range(1, 6)]))
 
     def test_mismatched_ground_sets(self):
         with pytest.raises(GroundSetError):
-            join(Partition.full(3), Partition.full(4))
+            join(Partition(3, [[1, 2, 3]]), Partition(4, [[1, 2, 3, 4]]))
         with pytest.raises(GroundSetError):
-            joins_to_full(Partition.full(3), Partition.full(4))
+            joins_to_full(Partition(3, [[1, 2, 3]]), Partition(4, [[1, 2, 3, 4]]))
 
     @settings(max_examples=150)
     @given(partition_pairs)
@@ -180,7 +180,7 @@ class TestJoin:
         p, q = random_partition(n, la), random_partition(n, lb)
         assert join(p, q) == join(q, p)
         assert join(p, p) == p
-        assert joins_to_full(p, q) == (join(p, q) == Partition.full(n))
+        assert joins_to_full(p, q) == (join(p, q) == Partition(n, [range(1, n + 1)]))
 
     @settings(max_examples=60)
     @given(partition_pairs, st.lists(st.integers(0, 7), min_size=8, max_size=8))
@@ -199,20 +199,20 @@ class TestComposeInterval:
 
     def test_full_pi_merges_all(self):
         sigma = Partition(6, [[1, 2], [3], [4, 5, 6]])
-        assert compose_interval(Partition.full(3), sigma) == Partition.full(6)
+        assert compose_interval(Partition(3, [[1, 2, 3]]), sigma) == Partition(6, [range(1, 7)])
 
     def test_singleton_pi_is_identity(self):
         sigma = Partition(6, [[1, 2], [3], [4, 5, 6]])
-        assert compose_interval(Partition.singletons(3), sigma) == sigma
+        assert compose_interval(Partition(3, [[1], [2], [3]]), sigma) == sigma
 
     def test_block_count_mismatch(self):
         sigma = Partition(4, [[1, 2], [3, 4]])
         with pytest.raises(GroundSetError):
-            compose_interval(Partition.full(3), sigma)
+            compose_interval(Partition(3, [[1, 2, 3]]), sigma)
 
     def test_non_interval_sigma_rejected(self):
         with pytest.raises(KindError):
-            compose_interval(Partition.full(2), Partition(4, [[1, 3], [2, 4]]))
+            compose_interval(Partition(2, [[1, 2]]), Partition(4, [[1, 3], [2, 4]]))
 
     def test_crossing_pi_rejected(self):
         sigma = Partition(4, [[1], [2], [3], [4]])
