@@ -29,7 +29,6 @@ from .commutator import (
 from .cumulants import (
     CumulantSequence,
     MomentSequence,
-    cumulants_from_moments,
     format_rational,
     moments_from_cumulants,
 )
@@ -77,7 +76,7 @@ class DistributionSpec:
         if self.kind == "free-poisson":
             return CumulantSequence.free_poisson(self.numbers[0], order)
         if self.kind == "atomic":
-            return cumulants_from_moments(self.rho(order), order)
+            return CumulantSequence.from_atoms(self.atoms, order)
         if self.kind == "cumulants":
             padded = list(self.numbers[:order])
             padded += [Fraction(0)] * (order - len(padded))
@@ -396,13 +395,10 @@ def _cmd_partitions(args) -> dict:
 def _cmd_cumulants(args) -> dict:
     order = _order_or_die(args.max_order)
     spec = parse_spec(args.x)
-    # an atomic spec has its moments already; the others only their cumulants
-    if spec.kind == "atomic":
-        moments = spec.rho(order)
-        seq = cumulants_from_moments(moments, order)
-    else:
-        seq = spec.cumulants(order)
-        moments = moments_from_cumulants(seq, order)
+    # an atomic spec gives its cumulants and its moments directly, each
+    # without the O(N^3) transform; the others give only their cumulants
+    seq = spec.cumulants(order)
+    moments = spec.rho(order) if spec.kind == "atomic" else moments_from_cumulants(seq, order)
     return {
         "x": args.x,
         "max_order": order,

@@ -7,9 +7,10 @@ the moment engine work on sequences dilated by one factor (:func:`dilate`),
 and ``Fraction`` appears only where values come in and where each output is
 divided once.
 Sequences come in two types, cumulants and moments, related by O(N^3)
-first-block transforms; one moment type serves both a law and the measure
-that drives the operator model, with a flag for sequences built from an
-atomic measure.  Joint cumulants of word products sum block products of
+first-block transforms, except that a measure of r atoms gives its
+cumulants in O(rN^2) from the equation of its R-transform; one moment type
+serves a law and the driving measure of the operator model, with a flag
+for sequences built from atoms.  Joint cumulants of word products sum block products of
 single-variable cumulants over the non-crossing partitions whose join with
 the word-grouping interval partition is full — the products-as-arguments
 formula — by a first-block recursion over the gaps of the first letter's
@@ -131,6 +132,20 @@ GR_ONE = GaussianRational(_ONE)
 GR_I = GaussianRational(_ZERO, _ONE)
 
 
+def _atom_integers(atoms: Sequence[tuple]) -> tuple[list[int], list[int], int, int]:
+    """u, alpha, W, q with weights u_i/W and atoms alpha_i/q of (weight,
+    atom) pairs, refused unless they make a probability measure."""
+    pairs = [(as_fraction(w), as_fraction(a)) for w, a in atoms]
+    if not pairs or any(w <= 0 for w, _ in pairs):
+        raise DomainError("atom weights must be positive")
+    big_w = math.lcm(*(w.denominator for w, _ in pairs))
+    q = math.lcm(*(a.denominator for _, a in pairs))
+    us = [w.numerator * (big_w // w.denominator) for w, _ in pairs]
+    if sum(us) != big_w:
+        raise DomainError("atom weights must sum to 1")
+    return us, [a.numerator * (q // a.denominator) for _, a in pairs], big_w, q
+
+
 @dataclass(frozen=True, slots=True)
 class CumulantSequence:
     """Free cumulants kappa_1..kappa_N of one distribution, exact rationals.
@@ -169,6 +184,48 @@ class CumulantSequence:
         r = as_fraction(rate)
         return cls([r] * order)
 
+    @classmethod
+    def from_atoms(cls, atoms: Sequence[tuple], order: int) -> "CumulantSequence":
+        """Cumulants of a finite atomic probability measure from its R-transform.
+
+        For r atoms, M(z) = P(z)/Q(z) with Q = prod_i (1 - a_i z) and P =
+        sum_i w_i Q/(1 - a_i z).  With z = y/C(y) from M(z) = C(zM(z))
+        (Nica-Speicher 2006), yQ(z) = zP(z) times C^r/y reads
+        sum_(j<=r) q_j y^j C^(r-j) = sum_(j<r) p_j y^j C^(r-1-j), q_0 = p_0 = 1.
+        kappa_n enters its y^n coefficient only through C^r and C^(r-1), as
+        r kappa_n - (r-1) kappa_n: it is minus the rest, with no division.
+        For weights u_i/W, atoms alpha_i/q and d = qW, d^j q_j and W d^j p_j
+        are the z^j coefficients of prod (1 - W alpha_i z) and sum_i u_i
+        prod_(k!=i) (1 - W alpha_k z), integers, the second divisible by W
+        (at z^0 it is sum u_i = W, at z^j a multiple of W^j), so the recursion
+        runs on d^n kappa_n (:func:`dilate`).  Q and P to degree min(r, N), P
+        by synthetic division, cost O(rN); C^2..C^r, one convolution each per
+        order, O(rN^2), for N = ``order``.
+        """
+        us, alphas, big_w, q = _atom_integers(atoms)
+        r, top = len(us), min(len(us), order)
+        q_dil, p_dil = [1] + [0] * top, [0] * (top + 1)
+        for alpha in alphas:
+            for j in range(top, 0, -1):
+                q_dil[j] -= big_w * alpha * q_dil[j - 1]
+        for u, alpha in zip(us, alphas):
+            for j, c in enumerate(itertools.accumulate(q_dil, lambda b, c: c + big_w * alpha * b)):
+                p_dil[j] += u * c
+        p_dil = [c // big_w for c in p_dil]
+        powers = [[1] for _ in range(r + 1)]  # [k][m]: d^m [y^m] C^k; [1]: the d^m kappa_m
+        values = []
+        for n in range(1, order + 1):
+            rest = [0, 0]  # d^n [y^n] C^k with kappa_n set to 0
+            for row in powers[1:r]:
+                rest.append(rest[-1] + sum(map(operator.mul, powers[1][1:], row[:0:-1])))
+            kappa_n = rest[r - 1] - rest[r] + sum(
+                p_dil[j] * powers[r - 1 - j][n - j] - q_dil[j] * powers[r - j][n - j]
+                for j in range(1, min(r, n) + 1))
+            for k, row in enumerate(powers):
+                row.append(rest[k] + k * kappa_n)
+            values.append(Fraction(kappa_n, (big_w * q) ** n))
+        return cls(values)
+
     def dilated(self, c) -> "CumulantSequence":
         """Cumulants of the dilation by c: kappa_k -> c^k kappa_k."""
         f = as_fraction(c)
@@ -202,14 +259,11 @@ class MomentSequence:
     @classmethod
     def from_atoms(cls, atoms: Sequence[tuple], order: int) -> "MomentSequence":
         """Moments m_0..m_order of a finite atomic probability measure, given
-        as (weight, atom) pairs; genuine by construction."""
-        pairs = [(as_fraction(w), as_fraction(a)) for w, a in atoms]
-        if not pairs or any(w <= 0 for w, _ in pairs):
-            raise DomainError("atom weights must be positive")
-        if sum(w for w, _ in pairs) != 1:
-            raise DomainError("atom weights must sum to 1")
-        values = [sum((w * a ** k for w, a in pairs), _ZERO) for k in range(order + 1)]
-        return cls(values, genuine=True)
+        as (weight, atom) pairs; genuine by construction.  With weights
+        u_i/W and atoms alpha_i/q, m_k = sum u_i alpha_i^k / (W q^k)."""
+        us, alphas, big_w, q = _atom_integers(atoms)
+        return cls([Fraction(sum(u * a ** k for u, a in zip(us, alphas)), big_w * q ** k)
+                    for k in range(order + 1)], genuine=True)
 
     @property
     def max_order(self) -> int:

@@ -22,6 +22,8 @@ oracle of ``polynomial_moments``, which it accepts any polynomial for, not
 only those linear in s.  With ``cumulants_in_t``, the moment-cumulant
 recursion over polynomials in t, it gives ``fock_cancellation_sums``, the
 oracle of ``cancellation_sums``.
+``moments_of_atoms`` sums one ``Fraction`` power per atom and order: the
+oracle of ``MomentSequence.from_atoms``, which works over integers.
 ``boxplus`` is free additive convolution as the entrywise sum of cumulants,
 and ``assign_by_blocks`` fills a tuple cyclically along the blocks of a
 partition (acceptance criterion 7).
@@ -497,6 +499,13 @@ def fock_cancellation_sums(dist_s: CumulantSequence, dist_x: CumulantSequence,
     if any(c.im for m in moments for c in m):
         raise AssertionError("real input produced an imaginary moment part")
     return cumulants_in_t([[c.re for c in m] for m in moments], order)
+
+
+def moments_of_atoms(atoms: Sequence[tuple], order: int) -> list[Fraction]:
+    """m_0..m_order of the measure sum_i w_i delta_(a_i) of (w_i, a_i) pairs,
+    taken as given."""
+    pairs = [(as_fraction(w), as_fraction(a)) for w, a in atoms]
+    return [sum((w * a ** k for w, a in pairs), Fraction(0)) for k in range(order + 1)]
 
 
 def boxplus(a: CumulantSequence, b: CumulantSequence, order: int) -> CumulantSequence:

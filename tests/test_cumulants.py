@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from partition_oracles import (
     joined_cumulant_naive,
     kappa_block,
     kappa_pi,
+    moments_of_atoms,
     over_common_denominator,
     scaled,
 )
@@ -171,10 +173,6 @@ KAPPA_29 = Fraction(-1802663324441293599633495530240739, 19342813113834066795298
 KAPPA_30 = Fraction(-10463371087440888482244612134271105, 154742504910672534362390528)
 
 
-def atomic_moments(order):
-    return [sum((w * Fraction(a) ** n for w, a in ATOMS), Fraction(0)) for n in range(order + 1)]
-
-
 def series_mul(a, b, order):
     out = [Fraction(0)] * (order + 1)
     for i, x in enumerate(a[:order + 1]):
@@ -217,10 +215,11 @@ class TestTransformsPastThePartitionSums:
         assert cumulants_from_moments(moments_from_cumulants(seq, 40), 40) == seq
 
     def test_order_thirty_atomic_law(self):
-        m = atomic_moments(30)
+        m = moments_of_atoms(ATOMS, 30)
         kappas = cumulants_from_moments(MomentSequence(m), 30)
         assert kappas.kappa(29) == KAPPA_29
         assert kappas.kappa(30) == KAPPA_30
+        assert CumulantSequence.from_atoms(ATOMS, 30) == kappas
         assert list(moments_from_cumulants(kappas, 30).values) == m
         # C(zM(z)) = M(z) up to z^30, by Horner in w = zM(z)
         w = [Fraction(0)] + m[:30]
@@ -237,6 +236,83 @@ class TestTransformsPastThePartitionSums:
         assert [Fraction(v, den) for v in nums] == values
         assert all(den % v.denominator == 0 for v in values)
 
+
+def _atomic_law(raw):
+    """(weight, atom) pairs from raw positive weights, normalised to sum 1."""
+    weights, atoms = zip(*raw)
+    total = sum(weights)
+    return [(w / total, a) for w, a in zip(weights, atoms)]
+
+
+# weights with large and coprime denominators; atoms negative, zero,
+# fractional and, by the sampled pool, often repeated
+raw_weights = st.builds(Fraction, st.integers(1, 10 ** 6),
+                        st.sampled_from((1, 3, 1009, 2 ** 61 - 1)))
+pooled_atoms = st.one_of(st.just(Fraction(0)), st.sampled_from((Fraction(-1), Fraction(2))),
+                         rationals, prime_rationals)
+atomic_laws = st.lists(st.tuples(raw_weights, pooled_atoms),
+                       min_size=1, max_size=6).map(_atomic_law)
+
+
+def catalan(n):
+    return math.comb(2 * n, n) // (n + 1)
+
+
+class TestCumulantsFromAtoms:
+    """The R-transform recursion of ``CumulantSequence.from_atoms`` against
+    the power-table inversion of the atom moments, and the integer moments
+    of ``MomentSequence.from_atoms`` against ``Fraction`` powers."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(atomic_laws, st.integers(1, 40))
+    def test_equals_the_inverted_moments(self, atoms, order):
+        moments = MomentSequence.from_atoms(atoms, order)
+        kappas = CumulantSequence.from_atoms(atoms, order)
+        assert kappas == cumulants_from_moments(moments, order)
+        assert moments_from_cumulants(kappas, order) == moments
+
+    @settings(max_examples=60, deadline=None)
+    @given(atomic_laws, st.integers(0, 40))
+    def test_moments_equal_fraction_powers(self, atoms, order):
+        moments = MomentSequence.from_atoms(atoms, order)
+        assert list(moments.values) == moments_of_atoms(atoms, order)
+        assert moments.genuine
+
+    @pytest.mark.parametrize("atom", [Fraction(0), Fraction(3), Fraction(-7, 2)])
+    def test_point_mass(self, atom):
+        assert CumulantSequence.from_atoms([(1, atom)], 12).values == (atom,) + (0,) * 11
+
+    def test_symmetric_bernoulli_gives_signed_catalan_numbers(self):
+        kappas = CumulantSequence.from_atoms([(Fraction(1, 2), -1), (Fraction(1, 2), 1)], 40)
+        assert kappas.values[0::2] == (0,) * 20
+        assert kappas.values[1::2] == tuple((-1) ** (n - 1) * catalan(n - 1)
+                                            for n in range(1, 21))
+
+    @pytest.mark.parametrize("atoms", [
+        [(Fraction(1, 3), -1), (Fraction(1, 3), 1), (Fraction(1, 3), 2)],
+        [(Fraction(1, 6), Fraction(-3, 2)), (Fraction(1, 2), 0), (Fraction(1, 3), Fraction(5, 7))],
+    ])
+    def test_agrees_with_the_power_table_at_order_150(self, atoms):
+        assert CumulantSequence.from_atoms(atoms, 150) == cumulants_from_moments(
+            MomentSequence.from_atoms(atoms, 150), 150)
+
+    def test_more_atoms_than_the_order(self):
+        atoms = [(Fraction(1, 9), Fraction(k, 2)) for k in range(-4, 5)]
+        assert CumulantSequence.from_atoms(atoms, 3) == cumulants_from_moments(
+            MomentSequence(moments_of_atoms(atoms, 3)), 3)
+
+    @pytest.mark.parametrize("atoms, message", [
+        ([], "atom weights must be positive"),
+        ([(0, 1), (1, 2)], "atom weights must be positive"),
+        ([(Fraction(-1, 2), 1), (Fraction(3, 2), 2)], "atom weights must be positive"),
+        ([(Fraction(1, 2), 1)], "atom weights must sum to 1"),
+        ([(Fraction(1, 2), 1), (Fraction(2, 3), 1)], "atom weights must sum to 1"),
+        ([(0.5, 1), (Fraction(1, 2), 2)], "not an exact rational"),
+    ])
+    def test_bad_weights_are_domain_errors(self, atoms, message):
+        for build in (CumulantSequence.from_atoms, MomentSequence.from_atoms):
+            with pytest.raises(DomainError, match=message):
+                build(atoms, 4)
 
 class TestKappaBlock:
     def test_pair_of_s(self):
