@@ -34,7 +34,6 @@ from .cumulants import (
     cumulants_from_moments,
     dilate,
     dilation,
-    first_block_sum,
     format_rational,
     polynomial_moments,
     real_cumulant,
@@ -214,15 +213,15 @@ def closed_form_cumulants(order: int, dist_x: CumulantSequence) -> list[Fraction
     (variance 1), by the combinatorial closed form: kappa_n(x) plus, over
     the compositions of n into parts >= 2 and the non-crossing partitions of
     their parts, the first part times the product over blocks of the x
-    cumulants at the summed part sizes.  That is a :func:`first_block_sum`
-    over the :func:`composition_series` of the x cumulants: over the
-    C(a-b-1, b-1) layouts of the first block, its first part sums to a/b
-    times their count.  O(order^3) for the whole sequence."""
+    cumulants at the summed part sizes.  That is the first-block sum of the
+    :func:`composition_series` of the x cumulants with weight a/b times
+    C(a-b-1, b-1): over the C(a-b-1, b-1) layouts of the first block, its
+    first part sums to a/b times their count.  O(order^3) for the whole
+    sequence."""
     kappas, d = dilate([Fraction(0)] + [dist_x.kappa(k) for k in range(1, order + 1)])
-    _series, powers = composition_series(kappas, order)
-    return [Fraction(kappas[n] + first_block_sum(
-        kappas, powers, n, lambda a, b: a * math.comb(a - b - 1, b - 1) // b), d ** n)
-        for n in range(1, order + 1)]
+    _series, sums = composition_series(
+        kappas, order, lambda a, b: a * math.comb(a - b - 1, b - 1) // b)
+    return [Fraction(kappas[n] + sums[n], d ** n) for n in range(1, order + 1)]
 
 
 def closed_form_cumulant(n: int, dist_x: CumulantSequence) -> Fraction:

@@ -301,44 +301,45 @@ def _extend_powers(powers: list[list[int]], m: list[int], n: int, rows: int) -> 
     powers.append([1])
 
 
-def composition_series(values: Sequence[int], order: int
-                       ) -> tuple[list[int], list[list[int]]]:
-    """F_0..F_order of F(z) = sum_n F_n z^n, and the table
-    powers[k][j] = [z^j] F(z)^k for j <= order - 2k: every entry that a
-    :func:`first_block_sum` up to ``order`` reads.
+def composition_series(values: Sequence[int], order: int, weight: Callable[[int, int], int]
+                       ) -> tuple[list[int], list[int]]:
+    """F_0..F_order of F(z) = sum_n F_n z^n, and S_0 = 0, S_1..S_order with
+    S_n = sum_(b>=1) sum_(a=2b..n) values[a] weight(a, b) [z^(n-a)] F^b: a
+    first block of b parts of total a, laid out in weight(a, b) ways, with F
+    in its gaps.
 
     F_0 = 1, and F_n sums, over the compositions of n into parts >= 2 and
     the non-crossing partitions of their parts, the product over blocks of
-    ``values`` at the block's summed part size.  The block of the first part
-    has b parts of total a, in C(a-b-1, b-1) ways, and each gap after them
-    holds the same kind of configuration (Nica-Speicher, Lectures 10-11).
-    Integers in, integers out: F_n is homogeneous of degree n in the index,
-    so the values of a :func:`dilate` give the F_n of the rationals dilated.
+    ``values`` at the block's summed part size: the same first-block sum
+    with weight C(a-b-1, b-1), the layouts of the first part's block, and
+    the same kind of configuration in each gap (Nica-Speicher, Lectures
+    10-11).  Each weight is taken once, into a row values[a] weight(a, b)
+    for a = 2b..order per b, so each sum is one dot product per b with the
+    table [z^j] F^b, which no caller sees.  Integers in, integers out: F_n
+    is homogeneous of degree n in the index, so the values of a
+    :func:`dilate` give the F_n, and with an integer weight the S_n, of the
+    rationals dilated.
     """
     if order < 1:
         raise DomainError(f"order must be positive, got {order}")
-    series = [1]
+    blocks = range(1, order // 2 + 1)
+    own = [[values[a] * math.comb(a - b - 1, b - 1) for a in range(2 * b, order + 1)]
+           for b in blocks]
+    rows = [[values[a] * weight(a, b) for a in range(2 * b, order + 1)] for b in blocks]
+    series, sums = [1], [0]
     powers: list[list[int]] = [[1]]
     for n in range(1, order + 1):
-        series.append(first_block_sum(values, powers, n, lambda a, b: math.comb(a - b - 1, b - 1)))
-        # row k is read at columns j <= order - 2k, that is on diagonals
-        # k + j <= order - k
+        f = s = 0
+        for b in range(1, n // 2 + 1):
+            # [z^(n-a)] F^b for a = 2b..n, on diagonals < n; map stops at a = n
+            column = powers[b][n - 2 * b::-1]
+            f += sum(map(operator.mul, own[b - 1], column))
+            s += sum(map(operator.mul, rows[b - 1], column))
+        series.append(f)
+        sums.append(s)
+        # row k is read at columns j <= order - 2k, on diagonals <= order - k
         _extend_powers(powers, series, n, order - n)
-    return series, powers
-
-
-def first_block_sum(values: Sequence[int], powers: list[list[int]], n: int,
-                    weight: Callable[[int, int], int]) -> int:
-    """sum_(b>=1) sum_(a=2b..n) values[a] weight(a, b) [z^(n-a)] F^b from the
-    table of :func:`composition_series`: a first block of b parts of total a,
-    laid out in weight(a, b) ways, with F in its gaps; reads diagonals < n."""
-    total = 0
-    for b in range(1, n // 2 + 1):
-        row = powers[b]
-        for a in range(2 * b, n + 1):
-            if values[a]:
-                total += values[a] * weight(a, b) * row[n - a]
-    return total
+    return series, sums
 
 
 def moments_from_cumulants(seq: CumulantSequence, order: int) -> MomentSequence:

@@ -6,14 +6,15 @@ exponent e (0 means the constant 1).  Six operators act by appending,
 multiplying into the last slot, or contracting against a moment of Y, split
 into two families whose vacuum moments add up to the cumulants of x + i[x,s]
 when the cumulants of x are the moments of the driving measure; so do the
-paper's sums over compositions, computed here by a first-block recursion.
+paper's sums over compositions, one first-block pass of
+:func:`.cumulants.composition_series` over the moments.
 Values are exact.  In the package only the adjointness check gives
 ``apply`` its states: basis tensors with int coefficients, over integer
 formal moments, which decide the operator table for every moment sequence
 at once; ``Fraction`` states are test code.  The vacuum moments
 come from a two-level recursion read off the operator table, not from a
-walk over states; it and the first-block recursion run on integer
-numerators of the dilated moments and divide once per output.
+walk over states; it and the composition pass run on integer numerators
+of the dilated moments and divide once per output.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .cumulants import MomentSequence, composition_series, dilate, first_block_sum
+from .cumulants import MomentSequence, composition_series, dilate
 from .errors import DomainError, TruncationError
 
 
@@ -186,15 +187,13 @@ def composition_formula_cumulants(order: int, rho: MomentSequence) -> list[Fract
     compositions with all parts at least 2, paired with all non-crossing
     partitions.  Each partition block contributes the moment of Y at the
     summed part sizes.  With G the :func:`composition_series` of the
-    moments, the second family is G_n; the first is m_n (one part) plus a
-    :func:`first_block_sum` over G: an outer block of c + 1 parts of total
-    a, laid out in C(a-c, c) ways, with G in its c inner gaps.  O(order^3)
-    for the whole sequence."""
+    moments, the second family is G_n; the first is m_n (one part) plus the
+    first-block sum over G with weight C(a-c, c): an outer block of c + 1
+    parts of total a, laid out in C(a-c, c) ways, with G in its c inner
+    gaps.  O(order^3) for the whole sequence."""
     moments, d = dilate([rho.moment(j) for j in range(order + 1)])
-    series, powers = composition_series(moments, order)
-    return [Fraction(moments[n] + series[n] + first_block_sum(
-        moments, powers, n, lambda a, c: math.comb(a - c, c)), d ** n)
-        for n in range(1, order + 1)]
+    series, sums = composition_series(moments, order, lambda a, c: math.comb(a - c, c))
+    return [Fraction(moments[n] + series[n] + sums[n], d ** n) for n in range(1, order + 1)]
 
 
 def composition_formula_cumulant(n: int, rho: MomentSequence) -> Fraction:

@@ -29,8 +29,7 @@ PUBLIC = {
         "CumulantSequence", "GR_I", "GR_ONE", "GR_ZERO", "GaussianRational", "MomentSequence",
         "Polynomial", "S", "X", "as_fraction", "composition_series", "cumulant_of_polynomials",
         "cumulant_of_word_products", "cumulants_from_moments", "dilate", "dilation",
-        "first_block_sum", "format_rational", "moments_from_cumulants",
-        "polynomial_moments", "real_cumulant",
+        "format_rational", "moments_from_cumulants", "polynomial_moments", "real_cumulant",
     ],
     "errors": ["DomainError", "EngineConsistencyError", "FreeCommutantError", "GroundSetError",
                "KindError", "SizeLimitError", "SpecSyntaxError", "TruncationError"],

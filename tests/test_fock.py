@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,12 @@ from freecommutant.commutator import (
     closed_form_cumulants,
     expansion_cumulant,
 )
-from freecommutant.cumulants import CumulantSequence, MomentSequence
+from freecommutant.cumulants import (
+    CumulantSequence,
+    MomentSequence,
+    composition_series,
+    dilate,
+)
 from freecommutant.errors import DomainError, TruncationError
 from freecommutant.fid import compound_poisson_from_rho
 from freecommutant.fock import (
@@ -338,15 +344,34 @@ class TestPartitionRecursions:
         models = model_cumulants(24, rho)
         assert models == composition_formula_cumulants(24, rho) == closed_form_cumulants(24, dist_x)
 
-    @pytest.mark.parametrize("atoms", [
-        [(Fraction(1, 3), -1), (Fraction(1, 3), 1), (Fraction(1, 3), 2)],
-        [(Fraction(1, 7), Fraction(-2, 5)), (Fraction(6, 7), Fraction(1, 3))],
-    ], ids=["three-atoms", "prime-denominators"])
-    def test_three_routes_agree_through_forty(self, atoms):
-        rho = MomentSequence.from_atoms(atoms, 41)
-        dist_x = compound_poisson_from_rho(rho, 40)
-        models = model_cumulants(40, rho)
-        assert models == composition_formula_cumulants(40, rho) == closed_form_cumulants(40, dist_x)
+    @pytest.mark.parametrize("atoms, order", [
+        ([(Fraction(1, 3), -1), (Fraction(1, 3), 1), (Fraction(1, 3), 2)], 40),
+        ([(Fraction(1, 7), Fraction(-2, 5)), (Fraction(6, 7), Fraction(1, 3))], 40),
+        # the model route shares no code with the composition pass
+        ([(Fraction(1, 3), -1), (Fraction(1, 3), 1), (Fraction(1, 3), 2)], 100),
+    ], ids=["three-atoms", "prime-denominators", "three-atoms-order-100"])
+    def test_three_routes_agree_through_forty(self, atoms, order):
+        rho = MomentSequence.from_atoms(atoms, order + 1)
+        dist_x = compound_poisson_from_rho(rho, order)
+        models = model_cumulants(order, rho)
+        assert models == composition_formula_cumulants(order, rho) == closed_form_cumulants(
+            order, dist_x)
+
+    def test_composition_pass_contract(self):
+        def refuse(a, b):
+            raise AssertionError(f"no row exists at order 1, weight({a}, {b}) called")
+
+        assert composition_series([1, 5], 1, refuse) == ([1, 0], [0, 0])
+        rho = MomentSequence.from_atoms(
+            [(Fraction(1, 3), -1), (Fraction(1, 3), 1), (Fraction(1, 3), 2)], 30)
+        values, _d = dilate(rho.values)
+        for weight in (lambda a, c: math.comb(a - c, c), lambda a, b: 3 * a - 2 * b):
+            series, sums = composition_series(values, 30, weight)
+            assert sums[0] == 0 and len(series) == len(sums) == 31
+            # a row left out of a diagonal shows as a prefix that depends on the order
+            for order in range(1, 30):
+                assert composition_series(values[:order + 1], order, weight) == (
+                    series[:order + 1], sums[:order + 1])
 
     def test_pinned_orders_twenty_to_twenty_four(self):
         # three atoms, from the agreement of the model and both recursions
