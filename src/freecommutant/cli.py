@@ -275,7 +275,7 @@ def _cmd_verify_additivity(args) -> dict:
         "x": args.x,
         "s_var": format_rational(args.s_var),
         "max_order": order,
-        "hypothesis_met": pair.semicircular_hypothesis,
+        "hypothesis_met": pair.dist_s.is_semicircular,
         "holds": all(r.holds for r in reports),
         "reports": [r.to_json() for r in reports],
     }
@@ -339,14 +339,14 @@ def _cmd_verify_closed_form(args) -> dict:
 
 def _cmd_verify_fock(args) -> dict:
     order = _order_or_die(args.max_order)
-    rho = parse_spec(args.rho).rho(order)
+    spec = parse_spec(args.rho)
+    rho = spec.rho(order)
     ok, entries = _agreement(
         model=model_cumulants(order, rho),
         composition=composition_formula_cumulants(order, rho),
         closed_form=closed_form_cumulants(order, compound_poisson_from_rho(rho, order)))
-    # None when rho is not known to come from a measure: the adjoint pairs
-    # hold for every moment sequence, but only a measure makes an inner product
-    adjoint = verify_adjointness(ADJOINT_PAIRS) if rho.genuine else None
+    # None unless the spec is a measure, the only rho whose pairing is an inner product
+    adjoint = verify_adjointness(ADJOINT_PAIRS) if spec.kind == "atomic" else None
     return {
         "rho": args.rho,
         "max_order": order,

@@ -36,7 +36,6 @@ from .cumulants import (
     dilation,
     format_rational,
     polynomial_moments,
-    real_cumulant,
 )
 from .errors import DomainError, EngineConsistencyError
 
@@ -56,18 +55,14 @@ def commutator_polynomial(which: str) -> Polynomial:
     raise DomainError(f"which must be {I_S_X!r} or {I_X_S!r}, got {which!r}")
 
 
-def letter_polynomial(letter: str) -> Polynomial:
-    return Polynomial.from_word(letter)
-
-
 def sum_with_commutator() -> Polynomial:
     """s + i[s,x]."""
-    return letter_polynomial(S) + commutator_polynomial(I_S_X)
+    return Polynomial.from_word(S) + commutator_polynomial(I_S_X)
 
 
 def perturbed_partner() -> Polynomial:
     """x + i[x,s]."""
-    return letter_polynomial(X) + commutator_polynomial(I_X_S)
+    return Polynomial.from_word(X) + commutator_polynomial(I_X_S)
 
 
 @dataclass(frozen=True)
@@ -82,10 +77,6 @@ class DistributionPair:
     def standard(cls, dist_x: CumulantSequence, s_variance, max_order: int) -> "DistributionPair":
         """x with a semicircular s whose cumulants run to ``max_order``."""
         return cls(CumulantSequence.semicircular(s_variance, max_order), dist_x)
-
-    @property
-    def semicircular_hypothesis(self) -> bool:
-        return self.dist_s.is_semicircular
 
 
 @dataclass(frozen=True)
@@ -127,7 +118,7 @@ def verify_additivity(pair: DistributionPair, order: int) -> list[AdditivityRepo
     n = 1..order.
 
     With a non-semicircular s the comparison still runs (exploratory mode);
-    ``pair.semicircular_hypothesis`` says which mode ran.
+    ``pair.dist_s.is_semicircular`` says which mode ran.
     """
     lhs = cumulant_sequence_of(sum_with_commutator(), pair, order)
     rhs_c = cumulant_sequence_of(commutator_polynomial(I_S_X), pair, order)
@@ -146,10 +137,12 @@ def freeness_witness(pair: DistributionPair) -> Fraction:
     """kappa_4(s, i[s,x], i[s,x], s): zero for a genuinely free pair, equal
     to kappa_2(s)^2 kappa_2(x) here, hence positive whenever both variances
     are — the witness that s and i[s,x] are not free."""
-    s = letter_polynomial(S)
+    s = Polynomial.from_word(S)
     c = commutator_polynomial(I_S_X)
     value = cumulant_of_polynomials([s, c, c, s], pair.dist_s, pair.dist_x)
-    return real_cumulant(value, self_adjoint=True)
+    if value.im:
+        raise EngineConsistencyError(f"self-adjoint input gave imaginary part {value.im}")
+    return value.re
 
 
 def cancellation_sums(pair: DistributionPair, order: int) -> list[list[Fraction]]:
@@ -203,7 +196,7 @@ def cancellation_sum(n: int, k: int, pair: DistributionPair) -> GaussianRational
     read from :func:`cancellation_sums`."""
     if not 1 <= k < n:
         raise DomainError(f"need 1 <= k < n, got k={k}, n={n}")
-    if not pair.semicircular_hypothesis:
+    if not pair.dist_s.is_semicircular:
         raise DomainError("cancellation_sum requires a semicircular s")
     return GaussianRational(cancellation_sums(pair, n)[n - 1][k])
 
@@ -216,8 +209,11 @@ def closed_form_cumulants(order: int, dist_x: CumulantSequence) -> list[Fraction
     cumulants at the summed part sizes.  That is the first-block sum of the
     :func:`composition_series` of the x cumulants with weight a/b times
     C(a-b-1, b-1): over the C(a-b-1, b-1) layouts of the first block, its
-    first part sums to a/b times their count.  O(order^3) for the whole
-    sequence."""
+    first part sums to a/b times their count.  By C(a-b-1, b-1) + C(a-b, b)
+    = (a/b) C(a-b-1, b-1) that weight is an integer, so ``//`` is exact, and
+    it is the series' own weight plus the C(a-c, c) at c = b of
+    :func:`.fock.composition_formula_cumulants`: hence the two sums agree
+    when the x cumulants are the moments of its driving measure.  O(order^3)."""
     kappas, d = dilate([Fraction(0)] + [dist_x.kappa(k) for k in range(1, order + 1)])
     _series, sums = composition_series(
         kappas, order, lambda a, b: a * math.comb(a - b - 1, b - 1) // b)

@@ -9,9 +9,9 @@ divided once.
 Sequences come in two types, cumulants and moments, related by O(N^3)
 first-block transforms, except that a measure of r atoms gives its
 cumulants in O(rN^2) from the equation of its R-transform; one moment type
-serves a law and the driving measure of the operator model, with a flag
-for sequences built from atoms.  Joint cumulants of word products sum block products of
-single-variable cumulants over the non-crossing partitions whose join with
+serves a law and the driving measure of the operator model.  Joint
+cumulants of word products sum block products of single-variable
+cumulants over the non-crossing partitions whose join with
 the word-grouping interval partition is full — the products-as-arguments
 formula — by a first-block recursion over the gaps of the first letter's
 block, each gap again a joint cumulant of word products.  Moments of a
@@ -28,7 +28,7 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -240,15 +240,9 @@ class CumulantSequence:
 
 @dataclass(frozen=True, slots=True)
 class MomentSequence:
-    """Moments m_0..m_N with m_0 = 1, exact rationals.
-
-    ``genuine`` marks sequences that come from an actual positive measure
-    (built from atoms); purely formal sequences leave it unset.  Equality
-    compares the values only.
-    """
+    """Moments m_0..m_N with m_0 = 1, exact rationals."""
 
     values: tuple[Fraction, ...]
-    genuine: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         vals = tuple(as_fraction(v) for v in self.values)
@@ -259,11 +253,11 @@ class MomentSequence:
     @classmethod
     def from_atoms(cls, atoms: Sequence[tuple], order: int) -> "MomentSequence":
         """Moments m_0..m_order of a finite atomic probability measure, given
-        as (weight, atom) pairs; genuine by construction.  With weights
-        u_i/W and atoms alpha_i/q, m_k = sum u_i alpha_i^k / (W q^k)."""
+        as (weight, atom) pairs.  With weights u_i/W and atoms alpha_i/q,
+        m_k = sum u_i alpha_i^k / (W q^k)."""
         us, alphas, big_w, q = _atom_integers(atoms)
         return cls([Fraction(sum(u * a ** k for u, a in zip(us, alphas)), big_w * q ** k)
-                    for k in range(order + 1)], genuine=True)
+                    for k in range(order + 1)])
 
     @property
     def max_order(self) -> int:
@@ -275,8 +269,6 @@ class MomentSequence:
                 f"m_{k} requested but sequence holds orders 0..{self.max_order}"
             )
         return self.values[k]
-
-    __getitem__ = moment
 
     def to_json(self) -> list[str]:
         return [format_rational(v) for v in self.values]
@@ -372,16 +364,15 @@ def _moments_of(kappas: Sequence[int], order: int) -> list[int]:
 def cumulants_from_moments(mseq: MomentSequence, order: int) -> CumulantSequence:
     """Exact inverse of :func:`moments_from_cumulants`: the same recursion
     solved for its last term, kappa_n = m_n - sum_(k<n) kappa_k [z^(n-k)] M(z)^k,
-    with the power table of the known moments built up front (O(order^3)),
+    with the power table extended by one diagonal per order (O(order^3)),
     over the integers of :func:`dilate`."""
     if order > mseq.max_order:
         raise TruncationError(f"need moments to order {order}, have {mseq.max_order}")
     m, d = dilate(mseq.values[:order + 1])
     powers: list[list[int]] = [[1]]
-    for n in range(1, order + 1):
-        _extend_powers(powers, m, n, n - 1)
     kappas = [0]
     for n in range(1, order + 1):
+        _extend_powers(powers, m, n, n - 1)
         kappas.append(m[n] - sum(kappas[k] * powers[k][n - k] for k in range(1, n)))
     return CumulantSequence([Fraction(v, d ** n) for n, v in enumerate(kappas[1:], start=1)])
 
@@ -645,15 +636,3 @@ def polynomial_moments(p: Polynomial, dist_s: CumulantSequence, dist_x: Cumulant
             raise DomainError(f"moment m_{n} is not real: imaginary part {im}")
         moments.append(Fraction(re, lcd ** n))
     return MomentSequence(moments)
-
-
-def real_cumulant(value: GaussianRational, self_adjoint: bool) -> Fraction:
-    """Project a cumulant of a (claimed) self-adjoint tuple to its rational
-    value, treating a residual imaginary part as an engine bug."""
-    if value.im != 0:
-        if self_adjoint:
-            raise EngineConsistencyError(
-                f"self-adjoint input produced imaginary cumulant part {value.im}"
-            )
-        raise DomainError(f"cumulant is not real: {value}")
-    return value.re

@@ -89,9 +89,9 @@ def _apply_tensor(op: OperatorName, t: tuple[int, ...]) -> Iterator[tuple[tuple[
         raise DomainError(f"unknown operator {op!r}")
 
 
-def apply(op: OperatorName, v: FockVector, rho: MomentSequence | Sequence[int]) -> FockVector:
+def apply(op: OperatorName, v: FockVector, rho: Sequence[Fraction | int]) -> FockVector:
     """Linear extension of the per-tensor operator action, over any exact
-    coefficient ring: ``rho[k]`` is m_k, from a ``MomentSequence`` or ints."""
+    coefficient ring: ``rho[k]`` is the moment m_k."""
     acc = {}
     for t, c in v.terms.items():
         for out, k in _apply_tensor(op, t):
@@ -103,7 +103,7 @@ def apply(op: OperatorName, v: FockVector, rho: MomentSequence | Sequence[int]) 
     return FockVector(acc)
 
 
-def inner_product(u: FockVector, v: FockVector, rho: MomentSequence | Sequence[int]):
+def inner_product(u: FockVector, v: FockVector, rho: Sequence[Fraction | int]):
     """Bilinear extension of: tensors of different lengths are orthogonal,
     equal lengths pair slotwise through moments ``rho[k]`` of Y, as in :func:`apply`."""
     total = 0

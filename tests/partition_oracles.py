@@ -285,10 +285,10 @@ def vacuum_moments_by_apply(ops: Sequence[OperatorName], order: int,
     state = vacuum
     moments = []
     for j in range(1, order + 1):
-        out = add(*(apply(op, state, rho) for op in ops))
+        out = add(*(apply(op, state, rho.values) for op in ops))
         reach = order - j + 1
         state = fock_vector((t, c) for t, c in out.terms.items() if len(t) <= reach)
-        moments.append(inner_product(state, vacuum, rho))
+        moments.append(inner_product(state, vacuum, rho.values))
     return moments
 
 
@@ -316,11 +316,12 @@ def adjointness_by_fractions(pairs: Sequence[tuple[OperatorName, OperatorName]],
     """<A u, v> = <u, B v> for each (A, B) pair on ``samples`` pairs of
     seeded ``Fraction`` states, over the moments of rho."""
     rng = random.Random(seed)
+    m = rho.values
     for _ in range(samples):
         u = random_fraction_vector(rng)
         v = random_fraction_vector(rng)
         for a, b in pairs:
-            if inner_product(apply(a, u, rho), v, rho) != inner_product(u, apply(b, v, rho), rho):
+            if inner_product(apply(a, u, m), v, m) != inner_product(u, apply(b, v, m), m):
                 return False
     return True
 

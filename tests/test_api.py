@@ -22,14 +22,14 @@ PUBLIC = {
         "AdditivityReport", "DistributionPair", "I_S_X", "I_X_S", "cancellation_sum",
         "cancellation_sums", "closed_form_cumulant", "closed_form_cumulants",
         "commutator_polynomial", "cumulant_sequence_of", "expansion_cumulant",
-        "freeness_witness", "letter_polynomial", "perturbed_partner", "sum_with_commutator",
+        "freeness_witness", "perturbed_partner", "sum_with_commutator",
         "verify_additivity",
     ],
     "cumulants": [
         "CumulantSequence", "GR_I", "GR_ONE", "GR_ZERO", "GaussianRational", "MomentSequence",
         "Polynomial", "S", "X", "as_fraction", "composition_series", "cumulant_of_polynomials",
         "cumulant_of_word_products", "cumulants_from_moments", "dilate", "dilation",
-        "format_rational", "moments_from_cumulants", "polynomial_moments", "real_cumulant",
+        "format_rational", "moments_from_cumulants", "polynomial_moments",
     ],
     "errors": ["DomainError", "EngineConsistencyError", "FreeCommutantError", "GroundSetError",
                "KindError", "SizeLimitError", "SpecSyntaxError", "TruncationError"],

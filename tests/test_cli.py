@@ -60,10 +60,6 @@ class TestParseSpec:
     def test_rho_moments(self):
         rho = parse_spec("rho-moments[1,1,1,1]").rho(4)
         assert [rho.moment(k) for k in range(5)] == [1, 1, 1, 1, 1]
-        assert not rho.genuine
-
-    def test_atomic_rho_is_genuine(self):
-        assert parse_spec("atomic(1:1)").rho(4).genuine
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(SpecSyntaxError) as err:
@@ -161,6 +157,20 @@ class TestCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["adjointness"] is True
+
+    def test_verify_fock_checks_adjointness_for_an_atomic_spec_only(self, capsys):
+        # the same moments, once as a measure and once as a formal list:
+        # only the spec kind tells the command that rho is a measure
+        atomic = "atomic(1/3:-1,1/3:1,1/3:2)"
+        moments = MomentSequence.from_atoms(parse_spec(atomic).atoms, 6).values[1:]
+        formal = f"rho-moments[{','.join(map(str, moments))}]"
+        payloads = []
+        for rho in (atomic, formal):
+            code, out, _ = run_main(["verify-fock", "--rho", rho, "--max-order", "6"], capsys)
+            assert code == 0
+            payloads.append(json.loads(out))
+        assert [p["adjointness"] for p in payloads] == [True, None]
+        assert payloads[0]["entries"] == payloads[1]["entries"]
 
     def test_verify_fock_checks_its_third_route(self, capsys, monkeypatch):
         closed_form_cumulants = cli.closed_form_cumulants

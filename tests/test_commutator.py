@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,6 @@ from freecommutant.commutator import (
     cumulant_sequence_of,
     expansion_cumulant,
     freeness_witness,
-    letter_polynomial,
     perturbed_partner,
     sum_with_commutator,
     verify_additivity,
@@ -37,9 +37,8 @@ from freecommutant.cumulants import (
     cumulant_of_word_products,
     cumulants_from_moments,
     polynomial_moments,
-    real_cumulant,
 )
-from freecommutant.errors import DomainError, TruncationError
+from freecommutant.errors import DomainError, EngineConsistencyError, TruncationError
 from partition_oracles import fock_cancellation_sums, gaussian
 
 STD_S = CumulantSequence.semicircular(1, 8)
@@ -118,25 +117,25 @@ class TestCumulantSequenceOf:
 
     def test_plain_letter_recovers_inputs(self):
         pair = DistributionPair.standard(atomic_third(), 1, 6)
-        seq = cumulant_sequence_of(letter_polynomial("s"), pair, 6)
+        seq = cumulant_sequence_of(Polynomial.from_word("s"), pair, 6)
         assert seq.values == pair.dist_s.values[:6]
-        seq_x = cumulant_sequence_of(letter_polynomial("x"), pair, 6)
+        seq_x = cumulant_sequence_of(Polynomial.from_word("x"), pair, 6)
         assert seq_x.values == pair.dist_x.values[:6]
 
     def test_no_order_cap(self, monkeypatch):
         # the library computes any order its inputs reach; only the CLI caps
         monkeypatch.delenv("FREECOMMUTANT_MAX_ORDER", raising=False)
         pair = DistributionPair.standard(CumulantSequence.free_poisson(1, 9), 1, 9)
-        seq = cumulant_sequence_of(letter_polynomial("x"), pair, 9)
+        seq = cumulant_sequence_of(Polynomial.from_word("x"), pair, 9)
         assert seq.values == pair.dist_x.values
         with pytest.raises(TruncationError):
-            cumulant_sequence_of(letter_polynomial("s"), DistributionPair.standard(FP1, 1, 8), 9)
+            cumulant_sequence_of(Polynomial.from_word("s"), DistributionPair.standard(FP1, 1, 8), 9)
 
     def test_imaginary_parts_vanish_for_self_adjoint_suite(self):
         pair = DistributionPair(GENERIC_S := CumulantSequence(
             [Fraction(1, 3), 2, Fraction(-1, 2), 1, 0, 2], ), CumulantSequence(
             [Fraction(1, 2), Fraction(1, 4), 0, Fraction(-1, 16), 3, -2]))
-        for p in (letter_polynomial("s"), letter_polynomial("x"),
+        for p in (Polynomial.from_word("s"), Polynomial.from_word("x"),
                   commutator_polynomial(I_S_X), perturbed_partner()):
             # raises EngineConsistencyError if any imaginary part survives
             cumulant_sequence_of(p, pair, 6)
@@ -147,7 +146,7 @@ class TestAdditivity:
         pair = DistributionPair.standard(bernoulli_half(), 1, 6)
         reports = verify_additivity(pair, 6)
         assert all(r.holds for r in reports)
-        assert pair.semicircular_hypothesis
+        assert pair.dist_s.is_semicircular
 
     def test_point_mass_is_degenerate(self):
         pair = DistributionPair.standard(CumulantSequence([5, 0, 0, 0, 0, 0]), 1, 6)
@@ -169,7 +168,7 @@ class TestAdditivity:
         quartic_s = CumulantSequence([0, 1, 0, 1, 0, 0], )
         pair = DistributionPair(quartic_s, FP1)
         reports = verify_additivity(pair, 4)
-        assert not pair.semicircular_hypothesis
+        assert not pair.dist_s.is_semicircular
 
     def test_exploratory_mode_detects_failures(self):
         # negative control: a free Poisson in place of the semicircular
@@ -179,7 +178,7 @@ class TestAdditivity:
         reports = verify_additivity(pair, 4)
         assert reports[0].holds and reports[1].holds
         assert not reports[2].holds
-        assert not pair.semicircular_hypothesis
+        assert not pair.dist_s.is_semicircular
 
     def test_report_json_shape(self):
         r = AdditivityReport(2, Fraction(3), Fraction(1), Fraction(2))
@@ -233,6 +232,13 @@ class TestFreenessWitness:
         for c in (2, -1, Fraction(1, 3)):
             scaled = DistributionPair.standard(FP1.dilated(c), 1, 4)
             assert freeness_witness(scaled) == Fraction(c) ** 2 * w0
+
+    def test_an_imaginary_part_is_an_engine_fault(self, monkeypatch):
+        # s and i[s,x] are self-adjoint, so a nonzero imaginary part can only
+        # come from a fault in the cumulant engine
+        monkeypatch.setattr(commutator, "cumulant_of_polynomials", lambda *args: gaussian(2, 1))
+        with pytest.raises(EngineConsistencyError):
+            freeness_witness(DistributionPair.standard(FP1, 1, 4))
 
 
 class TestCancellation:
@@ -321,7 +327,7 @@ class TestCancellationAgainstTheWalk:
     X = CumulantSequence([Fraction(1, 2), Fraction(1, 4), 0, Fraction(-1, 16), 3])
 
     def walk_sums(self, n):
-        s = letter_polynomial("s")
+        s = Polynomial.from_word("s")
         d = Polynomial([("sx", GR_ONE), ("xs", -GR_ONE)])  # sx - xs
         sums = []
         for k in range(n + 1):
@@ -329,7 +335,8 @@ class TestCancellationAgainstTheWalk:
             for block in itertools.combinations(range(n), k):
                 args = [d if i in block else s for i in range(n)]
                 total = total + cumulant_of_polynomials(args, self.S, self.X)
-            sums.append(real_cumulant(total, self_adjoint=False))
+            assert total.im == 0
+            sums.append(total.re)
         return sums
 
     def test_coefficients_equal_walk_sums(self):
@@ -416,8 +423,8 @@ class TestExpansionAgainstTheWalk:
                 pair = DistributionPair.standard(dist_x, s_var, max(n, 2))
                 walk = cumulant_of_polynomials(
                     [perturbed_partner()] * n, pair.dist_s, pair.dist_x)
-                assert expansion_cumulant(n, dist_x, s_var) == real_cumulant(
-                    walk, self_adjoint=True), (dist_x, n)
+                assert walk.im == 0
+                assert expansion_cumulant(n, dist_x, s_var) == walk.re, (dist_x, n)
 
     @pytest.mark.parametrize("poly", [commutator_polynomial(I_S_X), sum_with_commutator()],
                              ids=["i[s,x]", "s+i[s,x]"])
@@ -429,7 +436,7 @@ class TestExpansionAgainstTheWalk:
         sequence = cumulant_sequence_of(poly, pair, 8)
         for n in (7, 8):
             joint = cumulant_of_polynomials([poly] * n, pair.dist_s, pair.dist_x)
-            assert real_cumulant(joint, self_adjoint=True) == sequence.kappa(n), n
+            assert joint.im == 0 and joint.re == sequence.kappa(n), n
 
 
 class TestPastTheWalkHorizon:
@@ -531,6 +538,17 @@ class TestClosedForm:
             scaled = cumulant_sequence_of(commutator_polynomial(I_S_X), scaled_pair, 6)
             for n in range(1, 7):
                 assert scaled.kappa(n) == Fraction(c) ** n * base.kappa(n)
+
+    def test_the_weight_identity_holds_exactly_below_200(self):
+        # C(a-b-1, b-1) + C(a-b, b) = (a/b) C(a-b-1, b-1): the floor division
+        # in the closed form's weight is exact, and that weight is the series'
+        # own plus the composition formula's, so verify-fock's composition
+        # and closed_form columns agree
+        for a in range(1, 200):
+            for b in range(1, a // 2 + 1):
+                own = math.comb(a - b - 1, b - 1)
+                assert a * own % b == 0, (a, b)
+                assert a * own // b == own + math.comb(a - b, b), (a, b)
 
     def test_sum_with_commutator_polynomials(self):
         assert sum_with_commutator() == (

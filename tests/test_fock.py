@@ -66,10 +66,6 @@ class TestRhoMoments:
     def test_delta_moments_are_powers(self):
         assert [DELTA2.moment(k) for k in range(5)] == [1, 2, 4, 8, 16]
 
-    def test_from_atoms_is_genuine(self):
-        assert DELTA1.genuine
-        assert not MomentSequence((1, 1, 1)).genuine
-
     def test_weights_validated(self):
         with pytest.raises(DomainError):
             MomentSequence.from_atoms([(Fraction(1, 2), 0)], 4)
@@ -83,29 +79,28 @@ class TestRhoMoments:
     def test_from_atoms_equals_the_formal_sequence_of_its_values(self):
         formal = MomentSequence(SYM_BERN.values)
         assert formal == SYM_BERN and hash(formal) == hash(SYM_BERN)
-        assert SYM_BERN.genuine and not formal.genuine
         with pytest.raises(AttributeError):
             formal.values = ()
 
     def test_indexing_reads_the_moments_and_stops_at_the_ends(self):
-        assert [DELTA2[k] for k in range(13)] == [DELTA2.moment(k) for k in range(13)]
+        assert [DELTA2.moment(k) for k in range(13)] == [2 ** k for k in range(13)]
         for k in (13, -1):
             with pytest.raises(TruncationError):
-                DELTA2[k]
+                DELTA2.moment(k)
 
 
 class TestApply:
     def test_xhat_on_vacuum_appends_a_power(self):
-        got = apply(OperatorName.XHAT, VACUUM, DELTA1)
+        got = apply(OperatorName.XHAT, VACUUM, DELTA1.values)
         assert got == fock_vector([((1,), 1)])
 
     def test_sxhat_kills_even_lengths(self):
         for exps in [(0, 0), (1, 2), (2, 0, 1, 3)]:
-            got = apply(OperatorName.SXHAT, fock_vector([(exps, 1)]), DELTA1)
+            got = apply(OperatorName.SXHAT, fock_vector([(exps, 1)]), DELTA1.values)
             assert not got.terms
 
     def test_xshat_on_length_two(self):
-        got = apply(OperatorName.XSHAT, fock_vector([((1, 0), 1)]), DELTA1)
+        got = apply(OperatorName.XSHAT, fock_vector([((1, 0), 1)]), DELTA1.values)
         assert got == fock_vector([((1, 0, 1), 1), ((2,), 1)])
 
     def test_parity_of_outputs(self):
@@ -118,7 +113,7 @@ class TestApply:
                 (OperatorName.XHAT, 1), (OperatorName.XSHAT, 0), (OperatorName.SXHAT, 1),
                 (OperatorName.XTILDE, 0), (OperatorName.XSTILDE, 1), (OperatorName.SXTILDE, 0),
             ]:
-                out = apply(op, v, DELTA2)
+                out = apply(op, v, DELTA2.values)
                 if n % 2 != alive_parity:
                     assert not out.terms
                 for t in out.terms:
@@ -132,8 +127,8 @@ class TestApply:
             return fock_vector((t, c * Fraction(5, 7)) for t, c in w.terms.items())
 
         for op in list(HAT_OPS) + list(TILDE_OPS):
-            left = apply(op, add(u, scaled(v)), SYM_BERN)
-            right = add(apply(op, u, SYM_BERN), scaled(apply(op, v, SYM_BERN)))
+            left = apply(op, add(u, scaled(v)), SYM_BERN.values)
+            right = add(apply(op, u, SYM_BERN.values), scaled(apply(op, v, SYM_BERN.values)))
             assert left == right
 
     @pytest.mark.parametrize("ops,constant_parity", [
@@ -146,7 +141,7 @@ class TestApply:
             nxt = []
             for state in frontier:
                 for op in ops:
-                    out = apply(op, state, DELTA2)
+                    out = apply(op, state, DELTA2.values)
                     for t in out.terms:
                         assert all(e == 0 for i, e in enumerate(t)
                                    if i % 2 == constant_parity), (op, t)
@@ -157,28 +152,28 @@ class TestApply:
 
 class TestInnerProduct:
     def test_single_slot_moment(self):
-        assert inner_product(fock_vector([((1,), 1)]), VACUUM, DELTA2) == 2
+        assert inner_product(fock_vector([((1,), 1)]), VACUUM, DELTA2.values) == 2
 
     def test_length_mismatch_is_zero(self):
         u = fock_vector([((1, 0), 1)])
-        assert inner_product(u, VACUUM, DELTA1) == 0
+        assert inner_product(u, VACUUM, DELTA1.values) == 0
 
     def test_exponents_add_within_slots(self):
         u = fock_vector([((2,), 1)])
         v = fock_vector([((1,), 1)])
-        assert inner_product(u, v, DELTA2) == DELTA2.moment(3)
+        assert inner_product(u, v, DELTA2.values) == DELTA2.moment(3)
 
     def test_bilinear(self):
         u = fock_vector([((1,), Fraction(1, 2))])
         v = fock_vector([((1,), 3), ((2,), 1)])
-        got = inner_product(u, v, HALF_DELTA3)
+        got = inner_product(u, v, HALF_DELTA3.values)
         expected = (Fraction(1, 2) * 3 * HALF_DELTA3.moment(2)
                     + Fraction(1, 2) * HALF_DELTA3.moment(3))
         assert got == expected
 
     def test_missing_moment_order(self):
-        short = MomentSequence((1, 1))
-        with pytest.raises(TruncationError):
+        short = MomentSequence((1, 1)).values
+        with pytest.raises(IndexError):
             inner_product(fock_vector([((2,), 1)]), fock_vector([((1,), 1)]), short)
 
 
@@ -429,7 +424,7 @@ class TestAdjointness:
         # With every odd moment 0 (a symmetric law, or all mass at 0) most
         # sampled pairings vanish, and 50 samples miss a control at some
         # seeds; the exact check has no such exemption.
-        refutable = any(rho[k] for k in range(1, SAMPLE_MOMENT_ORDER + 1, 2))
+        refutable = any(rho.moment(k) for k in range(1, SAMPLE_MOMENT_ORDER + 1, 2))
         for pair in NON_ADJOINT_PAIRS:
             assert not verify_adjointness([pair]), pair
             assert not (refutable and adjointness_by_fractions([pair], 50, rho, seed)), pair
@@ -514,7 +509,7 @@ class TestFockVector:
         tensors = list(small_tensors(max_len=3, max_exp=1))
         fraction_state = fock_vector([(t, Fraction(3 - 2 * len(t), 1 + sum(t))) for t in tensors])
         int_state = FockVector({t: 3 - 2 * len(t) for t in tensors})
-        for v, rho, ring in ((fraction_state, SYM_BERN, Fraction),
+        for v, rho, ring in ((fraction_state, SYM_BERN.values, Fraction),
                              (int_state, (1, 0, 2, 0), int)):
             out = apply(op, v, rho)
             assert type(out) is FockVector and type(out.terms) is dict and out.terms
